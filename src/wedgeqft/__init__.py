@@ -22,8 +22,8 @@ from .fields import (Bump1D, Bump2D, Gaussian1D, Gaussian2D, field_phi,
                      nonlocality_witness, sample_mass_shell, timezero_field)
 from .locality import (eval_b, eval_c, refinement_study,
                        verify_contour_identity, verify_operator_commutator)
-from .nuclearity import (KernelOperator, NuclearityReport, analytic_trace_bound,
-                         find_s_min, free_bose_bound, ising_fermi_bound,
+from .nuclearity import (KernelOperator, analytic_trace_bound, find_s_min,
+                         free_bose_bound, ising_fermi_bound,
                          modular_trace_norm, partition_bound, sigma,
                          singular_values, sqrt_factorial_series,
                          trace_norm_estimate, xi_bound_distal, xi_bound_minus)

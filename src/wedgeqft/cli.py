@@ -7,7 +7,6 @@ pass, 1 suite failure, 2 configuration error, 3 numerical non-convergence.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import importlib.resources
 import json
@@ -97,21 +96,12 @@ def _canonical_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
-def run_suites(cfg, names, seed, parallel=False):
-    """Execute suites with per-suite deterministic generators."""
-    def rng_for(name):
-        return np.random.default_rng([seed, _SUITE_INDEX[name]])
-
+def run_suites(cfg, names, seed):
+    """Execute suites in order, each with its own deterministic generator."""
     results = {}
-    if parallel and len(names) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futures = {name: pool.submit(SUITE_FUNCTIONS[name], cfg, rng_for(name))
-                       for name in names}
-            for name in names:
-                results[name] = futures[name].result()
-    else:
-        for name in names:
-            results[name] = SUITE_FUNCTIONS[name](cfg, rng_for(name))
+    for name in names:
+        rng = np.random.default_rng([seed, _SUITE_INDEX[name]])
+        results[name] = SUITE_FUNCTIONS[name](cfg, rng)
     return results
 
 
@@ -155,8 +145,6 @@ def main(argv=None):
                         help="localization radius for the partition suite")
     parser.add_argument("--seed", type=lambda v: int(v, 0), default=None,
                         help="seed for randomized trials (recorded in report)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent suites concurrently")
     parser.add_argument("--schema", action="store_true",
                         help="print the CSV column documentation and exit")
     args = parser.parse_args(argv)
@@ -196,7 +184,7 @@ def main(argv=None):
     out_format = args.format or cfg.out_format
 
     try:
-        results = run_suites(cfg, names, seed, parallel=args.parallel)
+        results = run_suites(cfg, names, seed)
     except ConvergenceError as exc:
         _fail_json({"kind": "nonconvergence", "message": str(exc)})
         return 3
@@ -236,29 +224,27 @@ def main(argv=None):
 
 def _nuclearity_report(cfg, results):
     """Assemble the bound-curve report when the relevant suites ran."""
-    from .nuclearity import NuclearityReport
-
     sources = [n for n in ("nuclearity-curve", "find-smin", "free-bose",
                            "ising-fermi", "partition") if n in results]
     if not sources:
         return None
     nan = float("nan")
-    rows = []
-    kappa, sup, s_min = nan, nan, nan
-    extras = {}
+    out = {"model": cfg.model_name, "kappa": nan, "sup_norm": nan,
+           "s_min": nan, "rows": [],
+           "notes": ["sigma(s, kappa) absorbs the half/half distance splitting",
+                     "trace norms from tan-compactified Nystrom discretization",
+                     "free-Bose determinant uses unprojected singular values "
+                     "(conservative surrogate)"]}
     for name in sources:
         res = results[name]
         if name == "nuclearity-curve":
-            rows = [dict(r) for r in res.rows]
-            kappa = res.summary.get("kappa", nan)
-            sup = res.summary.get("sup_norm", nan)
+            out["rows"] = [dict(r) for r in res.rows]
+            out["kappa"] = res.summary.get("kappa", nan)
+            out["sup_norm"] = res.summary.get("sup_norm", nan)
         elif name == "find-smin":
-            s_min = res.summary.get("s_min", nan)
+            out["s_min"] = res.summary.get("s_min", nan)
         else:
-            extras[name.replace("-", "_")] = [dict(r) for r in res.rows]
-    rep = NuclearityReport(model=cfg.model_name, kappa=kappa, sup_norm=sup,
-                           rows=tuple(rows), s_min=s_min, extras=extras)
-    out = rep.as_dict()
+            out[name.replace("-", "_")] = [dict(r) for r in res.rows]
     out["runtimes"] = "see timings.json (kept out of canonical reports)"
     return out
 

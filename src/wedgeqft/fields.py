@@ -14,13 +14,13 @@ supported f these are entire in z.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 import math
 
 import numpy as np
 
 from .errors import QuadratureOverflowError
 from .fock import FockVector, WaveFunction1, annihilate, create, reflect_j, symmetrize
+from .quadrature import gauss_legendre
 from .sfunction import node_matrix
 
 EXP_BUDGET = 700.0  # |Im(p.x)| cap before exp() leaves double range
@@ -112,11 +112,6 @@ class Gaussian2D:
     support_box = None
 
 
-@lru_cache(maxsize=16)
-def _leggauss(order):
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _auto_order(base, phase):
     """Smallest ladder order resolving a one-axis oscillation budget."""
     need = max(base, int(1.3 * phase) + 48)
@@ -160,25 +155,11 @@ class Bump2D:
         u1 = (np.asarray(x1) - self.center[1]) / self.half_width[1]
         return self.amplitude * _bump_profile(u0) * _bump_profile(u1)
 
-    def _axis_integral(self, axis, p, sign):
-        """\\int f_axis(x) e^{i sign p x} dx over the support interval."""
-        c = self.center[axis]
-        h = self.half_width[axis]
-        p = np.asarray(p, dtype=complex)
-        im_max = float(np.max(np.abs(p.imag))) * (abs(c) + h)
-        if im_max > EXP_BUDGET:
-            raise QuadratureOverflowError(
-                f"imaginary phase {im_max:.1f} exceeds budget {EXP_BUDGET}")
-        order = _auto_order(self.order, float(np.max(np.abs(p))) * h)
-        u, w = _leggauss(order)
-        x = c + h * u
-        f = _bump_profile(u)
-        return (np.exp(1j * sign * np.multiply.outer(p, x))
-                * (f * w * h)).sum(axis=-1)
-
     def fourier(self, p0, p1):
-        i0 = self._axis_integral(0, p0, +1)
-        i1 = self._axis_integral(1, p1, -1)
+        (c0, c1), (h0, h1) = self.center, self.half_width
+        i0 = _bump_transform(p0, c0, h0, self.order)
+        # Minkowski pairing p.x = p0 x0 - p1 x1: the spatial axis sees -p1
+        i1 = _bump_transform(-np.asarray(p1, dtype=complex), c1, h1, self.order)
         return self.amplitude * i0 * i1 / (2 * math.pi)
 
     def transformed(self, x, lam=0.0):
@@ -211,6 +192,24 @@ def _bump_profile(u):
     inside = np.abs(u) < 1.0
     den = np.where(inside, 1.0 - u ** 2, 1.0)
     return np.where(inside, np.exp(-1.0 / den), 0.0)
+
+
+def _bump_transform(p, center, half_width, base_order):
+    """\\int g((x - center)/half_width) e^{i p x} dx, vectorized over ``p``.
+
+    Gauss-Legendre over the support interval; the order grows from
+    ``base_order`` with the largest |p| so oscillations do not alias.
+    """
+    p = np.asarray(p, dtype=complex)
+    im_max = float(np.max(np.abs(p.imag))) * (abs(center) + half_width)
+    if im_max > EXP_BUDGET:
+        raise QuadratureOverflowError(
+            f"imaginary phase {im_max:.1f} exceeds budget {EXP_BUDGET}")
+    order = _auto_order(base_order, float(np.max(np.abs(p))) * half_width)
+    u, w = gauss_legendre(order)
+    x = center + half_width * u
+    return (np.exp(1j * np.multiply.outer(p, x))
+            * (_bump_profile(u) * w * half_width)).sum(axis=-1)
 
 
 def in_wedge(box, which, shift=(0.0, 0.0)):
@@ -315,20 +314,13 @@ class Bump1D:
         return self.amplitude * _bump_profile(u)
 
     def fourier(self, p):
-        p = np.asarray(p, dtype=complex)
-        im_max = float(np.max(np.abs(p.imag))) * (abs(self.center) + self.half_width)
-        if im_max > EXP_BUDGET:
-            raise QuadratureOverflowError(
-                f"imaginary phase {im_max:.1f} exceeds budget {EXP_BUDGET}")
-        order = _auto_order(self.order, float(np.max(np.abs(p))) * self.half_width)
-        u, w = _leggauss(order)
-        x = self.center + self.half_width * u
-        f = _bump_profile(u)
-        return (np.exp(1j * np.multiply.outer(p, x))
-                * (f * w * self.half_width)).sum(axis=-1) / math.sqrt(2 * math.pi)
+        """(1/sqrt(2pi)) \\int f(x) e^{i p x} dx, entire in p."""
+        return (self.amplitude * _bump_transform(p, self.center, self.half_width,
+                                                 self.order)
+                / math.sqrt(2 * math.pi))
 
     def norm_l2_sq(self, order=256):
-        u, w = _leggauss(order)
+        u, w = gauss_legendre(order)
         return abs(self.amplitude) ** 2 * self.half_width * float(
             np.sum(_bump_profile(u) ** 2 * w))
 

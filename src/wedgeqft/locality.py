@@ -11,13 +11,13 @@ vectors.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
 
 from .errors import TailError, WedgeQFTError
 from .fields import field_norm_scale, field_phi, field_phi_prime, in_wedge, mass_shell
+from .quadrature import gauss_legendre
 from .sfunction import evaluate
 
 WINDOW_DEFAULT = 8.0
@@ -26,9 +26,8 @@ RESIDUAL_FLOOR = 1e-14
 TAIL_TOL = 1e-10
 
 
-@lru_cache(maxsize=32)
 def _gl_line(window, order):
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     return x * window, w * window
 
 
@@ -72,6 +71,17 @@ def _check_tail(value, tail):
             f"value {abs(value):.2e}; enlarge the window")
 
 
+def _require_wedge_separation(f, g):
+    """Raise unless f is supported in W_R and g in W_L (box-corner test)."""
+    if f.support_box is None or g.support_box is None:
+        raise WedgeQFTError("wedge locality checks require compactly "
+                            "supported test functions")
+    if not in_wedge(f.support_box, "R"):
+        raise WedgeQFTError(f"f box {f.support_box} not inside W_R")
+    if not in_wedge(g.support_box, "L"):
+        raise WedgeQFTError(f"g box {g.support_box} not inside W_L")
+
+
 def _restriction(S, f, sign):
     return lambda z: mass_shell(f, sign, z, mass=S.mass)
 
@@ -106,13 +116,7 @@ def verify_contour_identity(S, f, g, n, spectators, tol,
     integration line to Im(t) = pi reproduces the same value.
     """
     if check_support:
-        if f.support_box is None or g.support_box is None:
-            raise WedgeQFTError("contour identity requires compactly "
-                                "supported test functions")
-        if not in_wedge(f.support_box, "R"):
-            raise WedgeQFTError(f"f box {f.support_box} not inside W_R")
-        if not in_wedge(g.support_box, "L"):
-            raise WedgeQFTError(f"g box {g.support_box} not inside W_L")
+        _require_wedge_separation(f, g)
     fm = _restriction(S, f, -1)
     gp = _restriction(S, g, +1)
     fp = _restriction(S, f, +1)
@@ -183,10 +187,7 @@ def verify_operator_commutator(S, f, g, Phi, tol, check_support=True,
     tolerance is meaningful regardless of test-function amplitudes.
     """
     if check_support:
-        if not in_wedge(f.support_box, "R"):
-            raise WedgeQFTError(f"f box {f.support_box} not inside W_R")
-        if not in_wedge(g.support_box, "L"):
-            raise WedgeQFTError(f"g box {g.support_box} not inside W_L")
+        _require_wedge_separation(f, g)
     lhs = field_phi_prime(S, f, field_phi(S, g, Phi))
     rhs = field_phi(S, g, field_phi_prime(S, f, Phi))
     resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)

@@ -16,14 +16,14 @@ the free/fermionic special cases and the heuristic partition-function
 bound.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 import math
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, ModelError, StripError
+from .quadrature import gauss_legendre
 from .sfunction import kappa as kappa_of
 from .sfunction import strip_sup_norm
 
@@ -34,9 +34,9 @@ MAX_DOUBLINGS = 3
 SERIES_TAIL_TOL = 1e-12
 
 
-@lru_cache(maxsize=32)
 def _tan_rule(scale, nodes):
-    v, w = np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre rule mapped onto the whole line by y = scale tan(v)."""
+    v, w = gauss_legendre(nodes)
     v = v * (math.pi / 2)
     w = w * (math.pi / 2)
     y = scale * np.tan(v)
@@ -398,28 +398,3 @@ def partition_bound(S, beta, r, kap, improved=False, nodes=NODES_DEFAULT,
     return PartitionBound(value=prefactor * series_value, log_value=log_value,
                           mu=mu, s_effective=s_eff, improved=improved)
 
-
-@dataclass(frozen=True)
-class NuclearityReport:
-    """Bound curves plus the conventions needed to reproduce them."""
-
-    model: str
-    kappa: float
-    sup_norm: float
-    rows: tuple = ()
-    s_min: float = math.nan
-    notes: tuple = (
-        "sigma(s, kappa) absorbs the half/half distance splitting",
-        "trace norms from tan-compactified Nystrom discretization",
-        "free-Bose determinant uses unprojected singular values "
-        "(conservative surrogate)",
-    )
-    extras: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        out = {"model": self.model, "kappa": self.kappa,
-               "sup_norm": self.sup_norm, "s_min": self.s_min,
-               "rows": [dict(r) for r in self.rows],
-               "notes": list(self.notes)}
-        out.update(self.extras)
-        return out

@@ -62,10 +62,6 @@ class ScatteringFunction:
                 raise ModelError(
                     f"zero {b} violates 0 < Im(beta) <= pi/2")
 
-    @property
-    def is_constant(self):
-        return self.a == 0.0 and not self.zeros
-
     def __call__(self, zeta):
         return evaluate(self, zeta)
 

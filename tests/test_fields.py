@@ -197,7 +197,8 @@ def test_timezero_hermiticity_and_norms(shg, grid21, rng):
 
 
 @pytest.mark.parametrize("f1", [wq.Gaussian1D(0.3, 0.8),
-                                wq.Bump1D(-0.2, 0.9)])
+                                wq.Bump1D(-0.2, 0.9),
+                                wq.Bump1D(-0.2, 0.9, amplitude=2 - 1j)])
 def test_energy_weighted_norm_identity(f1):
     # int m cosh(t) |fhat(t)|^2 dt = ||f||_2^2 via the change of variables
     t = np.linspace(-9, 9, 6001)

@@ -129,6 +129,16 @@ def test_operator_commutator_free_field(free, wedge_pair, rng):
     assert rep.passed
 
 
+def test_operator_commutator_support_check(shg, wedge_pair, rng):
+    f, g = wedge_pair
+    Phi = wq.random_fock(shg, wq.RapidityGrid(6.0, 21), 1, rng)
+    with pytest.raises(WedgeQFTError):
+        wq.verify_operator_commutator(shg, g, f, Phi, tol=1e-4)
+    gauss = wq.Gaussian2D.isotropic((0, 1.0), 0.3)
+    with pytest.raises(WedgeQFTError):
+        wq.verify_operator_commutator(shg, gauss, g, Phi, tol=1e-4)
+
+
 def test_operator_commutator_wrong_wedges_generic_model(shg, wedge_pair, rng):
     # for a non-constant model, swapping the wedges leaves an O(1) residual
     f, g = wedge_pair
