@@ -30,8 +30,7 @@ from .nuclearity import (KernelOperator, analytic_trace_bound, find_s_min,
 from .scattering import (OrderedWavePacket, in_state, moller_multiplier,
                          out_state, random_ordered_packet, recover_smatrix,
                          smatrix_factor, two_particle_smatrix)
-from .sfunction import (ScatteringFunction, StripNormCache, build_model,
-                        evaluate, kappa, phase_shift, strip_norm_cache,
-                        strip_sup_norm, verify_relations, y_phase)
+from .sfunction import (ScatteringFunction, build_model, evaluate, kappa,
+                        phase_shift, strip_sup_norm, verify_relations, y_phase)
 
 __version__ = "0.1.0"

@@ -12,59 +12,16 @@ import importlib.resources
 import json
 import pathlib
 import sys
+import time
 
 import numpy as np
 
 from . import __version__
 from .config import DEFAULT_SEED, load_config
 from .errors import ConfigError, ConvergenceError, WedgeQFTError
-from .suites import SUITE_FUNCTIONS, SUITE_NAMES, suites_for_all
+from .suites import SUITES, suites_for_all
 
-_SUITE_INDEX = {name: i for i, name in enumerate(SUITE_NAMES)}
-
-_CSV_SCHEMA = {
-    "verify-scattering": {
-        "relation": "identity being sampled",
-        "residual": "max residual over 201 points in [-8, 8]"},
-    "verify-algebra": {
-        "check": "algebraic law or operator identity",
-        "residual": "relative residual on random inputs"},
-    "verify-locality": {
-        "n": "spectator count",
-        "thetas": "space-separated spectator rapidities",
-        "abs_b": "|B| line integral",
-        "abs_c": "|C| line integral",
-        "abs_sum": "|B + C|",
-        "relative": "|B + C| / max(|B|, |C|, floor)"},
-    "smatrix": {
-        "trial": "trial index", "n": "particle number",
-        "multiplier_residual": "wave-operator product vs two-body factor",
-        "overlap_residual": "<in, out> vs multiplier oracle"},
-    "nuclearity-curve": {
-        "s": "splitting distance", "sigma": "Hardy constant",
-        "trace_norm": "||T_s||_1 estimate",
-        "trace_rel_change": "relative change at last refinement",
-        "bound_distal": "geometric series bound (inf above radius)",
-        "log_bound_minus": "log of the Pauli-improved series (fermionic)"},
-    "find-smin": {"kappa": "strip parameter", "s_min": "root of sigma*||T||=1"},
-    "free-bose": {
-        "s": "splitting distance", "value": "determinant surrogate",
-        "max_singular_phi": "largest singular value, position kernel",
-        "max_singular_pi": "largest singular value, momentum kernel",
-        "trace_phi": "trace norm, position kernel",
-        "trace_pi": "trace norm, momentum kernel"},
-    "ising-fermi": {
-        "s": "splitting distance",
-        "exp_bound": "exponential trace-norm bound",
-        "det_bound": "determinant bound from the same spectrum"},
-    "partition": {
-        "beta": "inverse temperature", "inv_beta": "1/beta",
-        "mu": "modular weight arctan(beta/2r)/2pi",
-        "s_effective": "r sin(2 pi mu)",
-        "log_bound": "log of the partition bound",
-        "bound": "partition bound (inf when above double range)",
-        "heuristic": "always true: kernel extrapolation is heuristic"},
-}
+_SUITE_INDEX = {name: i for i, name in enumerate(SUITES)}
 
 
 def resolve_config_path(arg):
@@ -84,12 +41,14 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(path, columns, rows):
+def write_csv(path, rows):
+    """One line per row dict; the header is the keys of the first row."""
+    columns = list(rows[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in columns])
+            writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def _canonical_json(obj):
@@ -101,7 +60,10 @@ def run_suites(cfg, names, seed):
     results = {}
     for name in names:
         rng = np.random.default_rng([seed, _SUITE_INDEX[name]])
-        results[name] = SUITE_FUNCTIONS[name](cfg, rng)
+        t0 = time.perf_counter()
+        res = SUITES[name].run(cfg, rng)
+        res.runtime = time.perf_counter() - t0
+        results[name] = res
     return results
 
 
@@ -122,7 +84,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="wedgeqft",
         description="Verify factorizing-S-matrix model identities and bounds")
-    parser.add_argument("suite", choices=SUITE_NAMES + ("all",),
+    parser.add_argument("suite", choices=[*SUITES, "all"],
                         help="verification suite to run")
     parser.add_argument("--config", required=False,
                         help="config path or catalogue:NAME")
@@ -150,7 +112,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.schema:
-        print(json.dumps(_CSV_SCHEMA, sort_keys=True, indent=2))
+        schema = {name: suite.column_docs for name, suite in SUITES.items()}
+        print(json.dumps(schema, sort_keys=True, indent=2))
         return 0
 
     if args.config is None:
@@ -207,7 +170,7 @@ def main(argv=None):
     if out_format == "csv":
         for name, res in results.items():
             if res.rows:
-                write_csv(out_dir / f"{name}.csv", res.columns, res.rows)
+                write_csv(out_dir / f"{name}.csv", res.rows)
 
     for name, res in results.items():
         status = "PASS" if res.passed else "FAIL"

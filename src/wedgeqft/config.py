@@ -6,11 +6,13 @@ failure can point at the exact file and line.  Unknown sections or keys
 are rejected; all values are validated into a :class:`RunConfig`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fields import Bump2D, Gaussian2D
 from .fock import RapidityGrid
+from .locality import ORDER_DEFAULT, WINDOW_DEFAULT
+from .nuclearity import NODES_DEFAULT
 from .sfunction import ScatteringFunction, build_model
 
 DEFAULT_SEED = 0xD15EA5E
@@ -156,47 +158,47 @@ class _Section:
 
 @dataclass
 class LocalitySettings:
-    grid_count: int = 81
-    window: float = 8.0
-    order: int = 2048
-    spectator_samples: int = 3
-    contour_tol: float = 1e-6
-    operator_tol: float = 1e-4
-    f_name: str = "f"
-    g_name: str = "g"
+    grid_count: int
+    window: float
+    order: int
+    spectator_samples: int
+    contour_tol: float
+    operator_tol: float
+    f_name: str
+    g_name: str
 
 
 @dataclass
 class AlgebraSettings:
-    tol: float = 1e-12
-    trials: int = 5
-    dn_max: int = 3
-    grid_count: int = 21
+    tol: float
+    trials: int
+    dn_max: int
+    grid_count: int
 
 
 @dataclass
 class SMatrixSettings:
-    trials: int = 5
-    n_values: tuple = (2, 3)
-    tol: float = 1e-10
+    trials: int
+    n_values: tuple
+    tol: float
 
 
 @dataclass
 class NuclearitySettings:
-    kappa: float = None
-    s_lo: float = 0.5
-    s_hi: float = 5.0
-    steps: int = 5
-    nodes: int = 400
+    kappa: float             # None: half the model's analyticity margin
+    s_lo: float
+    s_hi: float
+    steps: int
+    nodes: int
 
 
 @dataclass
 class PartitionSettings:
-    r: float = 1.0
-    beta_lo: float = 0.1
-    beta_hi: float = 1.0
-    steps: int = 6
-    improved: bool = False
+    r: float
+    beta_lo: float
+    beta_hi: float
+    steps: int
+    improved: bool
 
 
 @dataclass
@@ -212,8 +214,8 @@ class RunConfig:
     smatrix: SMatrixSettings
     nuclearity: NuclearitySettings
     partition: PartitionSettings
-    out_format: str = "json"
-    echo: dict = field(default_factory=dict)
+    out_format: str
+    echo: dict
 
     def testfunction(self, name):
         if name not in self.testfunctions:
@@ -330,8 +332,8 @@ def load_config(path, overrides=()):
     lsec = section("locality")
     locality = LocalitySettings(
         grid_count=lsec.intval("grid_count", 81),
-        window=lsec.floatval("window", 8.0),
-        order=lsec.intval("order", 2048),
+        window=lsec.floatval("window", WINDOW_DEFAULT),
+        order=lsec.intval("order", ORDER_DEFAULT),
         spectator_samples=lsec.intval("spectators", 3),
         contour_tol=lsec.floatval("contour_tol", 1e-6),
         operator_tol=lsec.floatval("operator_tol", 1e-4),
@@ -355,11 +357,11 @@ def load_config(path, overrides=()):
 
     nsec = section("nuclearity")
     nuclearity = NuclearitySettings(
-        kappa=nsec.floatval("kappa", None),
+        kappa=nsec.floatval("kappa"),
         s_lo=nsec.floatval("s_min", 0.5),
         s_hi=nsec.floatval("s_max", 5.0),
         steps=nsec.intval("steps", 5),
-        nodes=nsec.intval("nodes", 400))
+        nodes=nsec.intval("nodes", NODES_DEFAULT))
     nsec.reject_unknown()
 
     psec = section("partition")
@@ -372,7 +374,7 @@ def load_config(path, overrides=()):
     psec.reject_unknown()
 
     osec = section("output")
-    out_format = (osec.string("format", "json") or "json").lower()
+    out_format = (osec.string("format") or "json").lower()
     if out_format not in ("json", "csv"):
         raise ConfigError("output format must be json or csv", path,
                           osec.line_of("format"))

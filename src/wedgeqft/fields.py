@@ -18,12 +18,13 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureOverflowError
+from .errors import ConvergenceError, QuadratureOverflowError
 from .fock import FockVector, WaveFunction1, annihilate, create, reflect_j, symmetrize
 from .quadrature import gauss_legendre
 from .sfunction import node_matrix
 
 EXP_BUDGET = 700.0  # |Im(p.x)| cap before exp() leaves double range
+ORDER_CAP = 1 << 14  # largest bump quadrature order
 
 
 def _boost_matrix(lam):
@@ -113,12 +114,20 @@ class Gaussian2D:
 
 
 def _auto_order(base, phase):
-    """Smallest ladder order resolving a one-axis oscillation budget."""
+    """Smallest ladder order resolving a one-axis oscillation budget.
+
+    Raises :class:`ConvergenceError` when the budget needs more than
+    ``ORDER_CAP`` nodes, since a capped rule would alias.
+    """
     need = max(base, int(1.3 * phase) + 48)
+    if need > ORDER_CAP:
+        raise ConvergenceError(
+            f"bump transform needs {need} quadrature nodes, above the cap "
+            f"{ORDER_CAP} (oscillation phase {phase:.1f})")
     order = max(base, 64)
     while order < need:
         order *= 2
-    return min(order, 1 << 14)
+    return min(order, ORDER_CAP)     # still >= need
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,67 @@ def check_zf_relations(S, psi, phi, Phi, tol):
     return ZFReport(r1 / scale, r2 / scale, tol)
 
 
+def _adjacent_swap(n, k):
+    """The permutation of n slots that exchanges slots k and k + 1."""
+    tau = list(range(n))
+    tau[k], tau[k + 1] = tau[k + 1], tau[k]
+    return tuple(tau)
+
+
+def dn_law_residuals(S, grid, n, trials, rng):
+    """Worst relative residuals of the D_n laws at particle number n.
+
+    On random n-particle tensors: the adjacent transpositions act as
+    involutions and isometries, distant ones commute, neighbouring ones
+    satisfy the braid relation, and the symmetrizer is a self-adjoint
+    projector.
+    """
+    worst = {"involution": 0.0, "commuting": 0.0, "braid": 0.0,
+             "unitary": 0.0, "projector": 0.0, "selfadjoint": 0.0}
+    N = grid.count
+
+    def rand():
+        return rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
+
+    def wnorm(x):
+        return math.sqrt(abs(_weighted_inner(grid, x, x)))
+
+    def chain(seq, x):
+        for p in seq:
+            x = apply_dn(S, p, x, grid)
+        return x
+
+    for _ in range(trials):
+        f = rand()
+        scale = max(wnorm(f), 1e-300)
+        for k in range(n - 1):
+            tau = _adjacent_swap(n, k)
+            ff = apply_dn(S, tau, apply_dn(S, tau, f, grid), grid)
+            worst["involution"] = max(worst["involution"], wnorm(ff - f) / scale)
+            worst["unitary"] = max(worst["unitary"], abs(
+                wnorm(apply_dn(S, tau, f, grid)) - wnorm(f)) / scale)
+        for j in range(n - 1):
+            for k in range(j + 2, n - 1):
+                tj, tk = _adjacent_swap(n, j), _adjacent_swap(n, k)
+                ab = chain((tk, tj), f)
+                ba = chain((tj, tk), f)
+                worst["commuting"] = max(worst["commuting"], wnorm(ab - ba) / scale)
+        for k in range(n - 2):
+            ta, tb = _adjacent_swap(n, k), _adjacent_swap(n, k + 1)
+            lhs = chain((ta, tb, ta), f)
+            rhs = chain((tb, ta, tb), f)
+            worst["braid"] = max(worst["braid"], wnorm(lhs - rhs) / scale)
+        g = rand()
+        Pf = symmetrize(S, f, grid)
+        Pg = symmetrize(S, g, grid)
+        worst["projector"] = max(worst["projector"],
+                                 wnorm(symmetrize(S, Pf, grid) - Pf) / scale)
+        worst["selfadjoint"] = max(worst["selfadjoint"], abs(
+            _weighted_inner(grid, Pf, g)
+            - _weighted_inner(grid, f, Pg)) / (scale * max(wnorm(g), 1e-300)))
+    return worst
+
+
 @dataclass(frozen=True)
 class PoincareElement:
     """Spacetime translation plus boost; boosts must be whole node shifts."""

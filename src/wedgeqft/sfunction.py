@@ -66,21 +66,6 @@ class ScatteringFunction:
         return evaluate(self, zeta)
 
 
-@dataclass(frozen=True)
-class StripNormCache:
-    """A strip half-width and the sup norm of |S2| on the enlarged strip."""
-
-    kappa: float
-    sup_norm: float
-
-    def __post_init__(self):
-        if not (self.kappa > 0.0):
-            raise ModelError(f"kappa must be positive, got {self.kappa}")
-        if not (self.sup_norm >= 1.0):
-            raise ModelError(
-                f"strip sup norm must be >= 1, got {self.sup_norm}")
-
-
 def _mirror_partner(b):
     return complex(-b.real, b.imag)
 
@@ -209,8 +194,11 @@ def kappa(S):
     return min(HALF_PI, min(b.imag for b in S.zeros))
 
 
-# strip_sup_norm search defaults
+# strip_sup_norm search: the scan covers at least |t| <= _WINDOW and every
+# zero's real part plus _MARGIN (the peaks of |S2(t - i kappa)| sit at
+# t = +-Re b), with the sample spacing of _SAMPLES over the base window
 _WINDOW = 30.0
+_MARGIN = 10.0
 _SAMPLES = 10_000
 _GOLDEN_TOL = 1e-12
 
@@ -234,12 +222,13 @@ def _golden_max(f, lo, hi, tol=_GOLDEN_TOL):
     return max(fc, fd)
 
 
-def strip_sup_norm(S, kap, window=_WINDOW, samples=_SAMPLES):
+def strip_sup_norm(S, kap):
     """Sup of |S2| over the closed strip S(-kappa, pi+kappa).
 
     By the boundary symmetries it suffices to maximize |S2(t - i*kappa)|
     over real t; |S2| <= 1 holds on the physical strip so the result is
-    floored at 1.  The tail limit |S2| -> 1 covers |t| beyond the window.
+    floored at 1.  The scan window reaches past every zero's real part,
+    and the tail limit |S2| -> 1 covers |t| beyond it.
     Requires a = 0 (otherwise the sup is infinite) and kappa < kappa(S).
     """
     kmax = kappa(S)
@@ -252,6 +241,8 @@ def strip_sup_norm(S, kap, window=_WINDOW, samples=_SAMPLES):
     if not S.zeros:
         return 1.0
 
+    window = max(_WINDOW, max(abs(b.real) for b in S.zeros) + _MARGIN)
+    samples = math.ceil(_SAMPLES * window / _WINDOW)
     t = np.linspace(-window, window, samples)
     vals = np.abs(evaluate(S, t - 1j * kap))
     i = int(np.argmax(vals))
@@ -259,13 +250,6 @@ def strip_sup_norm(S, kap, window=_WINDOW, samples=_SAMPLES):
     hi = t[min(i + 1, samples - 1)]
     peak = _golden_max(lambda x: abs(evaluate(S, x - 1j * kap)), lo, hi)
     return max(1.0, float(peak), float(vals[-1]), float(vals[0]))
-
-
-def strip_norm_cache(S, kap=None):
-    """Bundle a strip half-width with the computed sup norm."""
-    if kap is None:
-        kap = kappa(S) / 2
-    return StripNormCache(kappa=float(kap), sup_norm=strip_sup_norm(S, kap))
 
 
 def phase_shift(S, zeta, _nsub=8):

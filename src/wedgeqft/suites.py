@@ -6,9 +6,9 @@ from residuals versus tolerances.  All numerics are delegated to the
 library modules; nothing here does its own mathematics.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 import math
-import time
 
 import numpy as np
 
@@ -16,18 +16,12 @@ from . import fock, locality, nuclearity, scattering, sfunction
 from .fields import nonlocality_witness
 from .fock import PoincareElement, RapidityGrid
 
-SUITE_NAMES = ("verify-scattering", "verify-algebra", "verify-locality",
-               "smatrix", "nuclearity-curve", "find-smin", "free-bose",
-               "ising-fermi", "partition")
-
 
 @dataclass
 class SuiteResult:
-    name: str
     passed: bool
     summary: dict
     rows: list = field(default_factory=list)
-    columns: tuple = ()
     nonconverged: bool = False
     runtime: float = 0.0
 
@@ -36,17 +30,14 @@ class SuiteResult:
                 "summary": self.summary}
 
 
-def _timed(fn):
-    def wrapper(cfg, rng):
-        t0 = time.perf_counter()
-        result = fn(cfg, rng)
-        result.runtime = time.perf_counter() - t0
-        return result
-    wrapper.__name__ = fn.__name__
-    return wrapper
+@dataclass(frozen=True)
+class Suite:
+    """A suite's function and the meaning of each CSV column its rows carry."""
+
+    run: Callable          # (cfg, rng) -> SuiteResult
+    column_docs: dict
 
 
-@_timed
 def verify_scattering(cfg, rng):
     S = cfg.model
     thetas = np.linspace(-8.0, 8.0, 201)
@@ -58,74 +49,18 @@ def verify_scattering(cfg, rng):
     summary = rep.as_dict()
     summary["origin_value"] = [origin.real, origin.imag]
     summary["kappa"] = sfunction.kappa(S)
-    return SuiteResult("verify-scattering", rep.passed and origin_ok, summary,
-                       rows, columns=("relation", "residual"))
+    return SuiteResult(rep.passed and origin_ok, summary, rows)
 
 
-def _dn_residuals(S, grid, n, trials, rng, tol):
-    """Representation laws and projector properties at one particle number."""
-    worst = {"involution": 0.0, "commuting": 0.0, "braid": 0.0,
-             "unitary": 0.0, "projector": 0.0, "selfadjoint": 0.0}
-    N = grid.count
-
-    def rand():
-        return rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
-
-    def wnorm(x):
-        return math.sqrt(abs(fock._weighted_inner(grid, x, x)))
-
-    for _ in range(trials):
-        f = rand()
-        scale = max(wnorm(f), 1e-300)
-        for k in range(n - 1):
-            tau = list(range(n))
-            tau[k], tau[k + 1] = tau[k + 1], tau[k]
-            tau = tuple(tau)
-            ff = fock.apply_dn(S, tau, fock.apply_dn(S, tau, f, grid), grid)
-            worst["involution"] = max(worst["involution"], wnorm(ff - f) / scale)
-            worst["unitary"] = max(worst["unitary"], abs(
-                wnorm(fock.apply_dn(S, tau, f, grid)) - wnorm(f)) / scale)
-        for j in range(n - 1):
-            for k in range(j + 2, n - 1):
-                tj = list(range(n)); tj[j], tj[j + 1] = tj[j + 1], tj[j]
-                tk = list(range(n)); tk[k], tk[k + 1] = tk[k + 1], tk[k]
-                ab = fock.apply_dn(S, tuple(tj), fock.apply_dn(S, tuple(tk), f, grid), grid)
-                ba = fock.apply_dn(S, tuple(tk), fock.apply_dn(S, tuple(tj), f, grid), grid)
-                worst["commuting"] = max(worst["commuting"], wnorm(ab - ba) / scale)
-        for k in range(n - 2):
-            ta = list(range(n)); ta[k], ta[k + 1] = ta[k + 1], ta[k]
-            tb = list(range(n)); tb[k + 1], tb[k + 2] = tb[k + 2], tb[k + 1]
-            ta, tb = tuple(ta), tuple(tb)
-
-            def chain(seq, x):
-                for p in seq:
-                    x = fock.apply_dn(S, p, x, grid)
-                return x
-            lhs = chain((ta, tb, ta), f)
-            rhs = chain((tb, ta, tb), f)
-            worst["braid"] = max(worst["braid"], wnorm(lhs - rhs) / scale)
-        g = rand()
-        Pf = fock.symmetrize(S, f, grid)
-        Pg = fock.symmetrize(S, g, grid)
-        worst["projector"] = max(worst["projector"],
-                                 wnorm(fock.symmetrize(S, Pf, grid) - Pf) / scale)
-        worst["selfadjoint"] = max(worst["selfadjoint"], abs(
-            fock._weighted_inner(grid, Pf, g)
-            - fock._weighted_inner(grid, f, Pg)) / (scale * max(wnorm(g), 1e-300)))
-    return worst
-
-
-@_timed
 def verify_algebra(cfg, rng):
     S = cfg.model
     grid = RapidityGrid(cfg.grid.half_width, cfg.algebra.grid_count)
     tol = cfg.algebra.tol
     trials = cfg.algebra.trials
-    rows = []
     worst = {}
 
     for n in range(2, cfg.algebra.dn_max + 1):
-        res = _dn_residuals(S, grid, n, trials, rng, tol)
+        res = fock.dn_law_residuals(S, grid, n, trials, rng)
         for k, v in res.items():
             worst[f"dn{n}_{k}"] = v
 
@@ -169,11 +104,9 @@ def verify_algebra(cfg, rng):
     passed = bound_ok and all(v <= tol for v in worst.values())
     summary = {"max_residual": max(worst.values()), "tol": tol,
                "number_bounds_ok": bool(bound_ok)}
-    return SuiteResult("verify-algebra", passed, summary, rows,
-                       columns=("check", "residual"))
+    return SuiteResult(passed, summary, rows)
 
 
-@_timed
 def verify_locality(cfg, rng):
     S = cfg.model
     loc = cfg.locality
@@ -237,12 +170,9 @@ def verify_locality(cfg, rng):
                "operator_tol": loc.operator_tol,
                "negative_control": neg.residual,
                "witness_agreement": wit}
-    return SuiteResult("verify-locality", passed, summary, rows,
-                       columns=("n", "thetas", "abs_b", "abs_c", "abs_sum",
-                                "relative"))
+    return SuiteResult(passed, summary, rows)
 
 
-@_timed
 def run_smatrix(cfg, rng):
     S = cfg.model
     grid = cfg.grid
@@ -262,9 +192,7 @@ def run_smatrix(cfg, rng):
                "overlap_convention":
                    "states sqrt(n!) P_n(tensor); <in,out> vs sum of "
                    "conj(S_n) |Phi+|^2 with trapezoid weights"}
-    return SuiteResult("smatrix", worst <= cfg.smatrix.tol, summary, rows,
-                       columns=("trial", "n", "multiplier_residual",
-                                "overlap_residual"))
+    return SuiteResult(worst <= cfg.smatrix.tol, summary, rows)
 
 
 def _nuclearity_kappa(cfg):
@@ -274,7 +202,6 @@ def _nuclearity_kappa(cfg):
     return kap
 
 
-@_timed
 def nuclearity_curve(cfg, rng):
     S = cfg.model
     kap = _nuclearity_kappa(cfg)
@@ -312,15 +239,10 @@ def nuclearity_curve(cfg, rng):
                     and all(a > b for a, b in zip(mseq, mseq[1:])))
     summary = {"kappa": kap, "sup_norm": sup, "monotone": bool(mono),
                "fermionic_bound_finite_decreasing": bool(minus_ok)}
-    cols = ("s", "sigma", "trace_norm", "trace_rel_change", "trace_scale",
-            "trace_nodes", "trace_converged", "bound_distal")
-    if fermionic:
-        cols = cols + ("log_bound_minus",)
-    return SuiteResult("nuclearity-curve", mono and minus_ok and not nonconv,
-                       summary, rows, columns=cols, nonconverged=nonconv)
+    return SuiteResult(mono and minus_ok and not nonconv, summary, rows,
+                       nonconverged=nonconv)
 
 
-@_timed
 def find_smin_suite(cfg, rng):
     S = cfg.model
     kap = _nuclearity_kappa(cfg)
@@ -328,11 +250,9 @@ def find_smin_suite(cfg, rng):
     summary = {"kappa": kap, "s_min": s_min,
                "in_expected_range": bool(0.0 < s_min < 50.0 / S.mass)}
     rows = [{"kappa": kap, "s_min": s_min}]
-    return SuiteResult("find-smin", summary["in_expected_range"], summary,
-                       rows, columns=("kappa", "s_min"))
+    return SuiteResult(summary["in_expected_range"], summary, rows)
 
 
-@_timed
 def free_bose(cfg, rng):
     S = cfg.model
     rows = []
@@ -353,12 +273,9 @@ def free_bose(cfg, rng):
                                          for r in rows),
                "monotone_decreasing": all(a > b for a, b in zip(vals, vals[1:])),
                "note": "unprojected determinant surrogate (conservative)"}
-    return SuiteResult("free-bose", bool(ok), summary, rows,
-                       columns=("s", "value", "max_singular_phi",
-                                "max_singular_pi", "trace_phi", "trace_pi"))
+    return SuiteResult(bool(ok), summary, rows)
 
 
-@_timed
 def ising_fermi(cfg, rng):
     S = cfg.model
     rows = []
@@ -374,11 +291,9 @@ def ising_fermi(cfg, rng):
         rows.append({"s": float(s), "exp_bound": exp_bound,
                      "det_bound": det.value})
     summary = {"exp_below_det_everywhere": bool(ok)}
-    return SuiteResult("ising-fermi", bool(ok), summary, rows,
-                       columns=("s", "exp_bound", "det_bound"))
+    return SuiteResult(bool(ok), summary, rows)
 
 
-@_timed
 def partition(cfg, rng):
     S = cfg.model
     kap = _nuclearity_kappa(cfg)
@@ -399,21 +314,59 @@ def partition(cfg, rng):
     mono = all(a > b for a, b in zip(logs, logs[1:]))   # beta ascending
     summary = {"kappa": kap, "r": p.r, "heuristic": True,
                "log_monotone_in_inverse_beta": bool(mono)}
-    return SuiteResult("partition", bool(mono), summary, rows,
-                       columns=("beta", "inv_beta", "mu", "s_effective",
-                                "log_bound", "bound", "heuristic"))
+    return SuiteResult(bool(mono), summary, rows)
 
 
-SUITE_FUNCTIONS = {
-    "verify-scattering": verify_scattering,
-    "verify-algebra": verify_algebra,
-    "verify-locality": verify_locality,
-    "smatrix": run_smatrix,
-    "nuclearity-curve": nuclearity_curve,
-    "find-smin": find_smin_suite,
-    "free-bose": free_bose,
-    "ising-fermi": ising_fermi,
-    "partition": partition,
+# The one declaration of each suite: its name, its function and one doc
+# string per CSV column (a CSV header is the keys of the suite's rows).  A
+# suite's position here is its seed index, which report.json depends on,
+# so new suites go at the end.
+SUITES = {
+    "verify-scattering": Suite(verify_scattering, {
+        "relation": "identity being sampled",
+        "residual": "max residual over 201 points in [-8, 8]"}),
+    "verify-algebra": Suite(verify_algebra, {
+        "check": "algebraic law or operator identity",
+        "residual": "relative residual on random inputs"}),
+    "verify-locality": Suite(verify_locality, {
+        "n": "spectator count",
+        "thetas": "space-separated spectator rapidities",
+        "abs_b": "|B| line integral",
+        "abs_c": "|C| line integral",
+        "abs_sum": "|B + C|",
+        "relative": "|B + C| / max(|B|, |C|, floor)"}),
+    "smatrix": Suite(run_smatrix, {
+        "trial": "trial index", "n": "particle number",
+        "multiplier_residual": "wave-operator product vs two-body factor",
+        "overlap_residual": "<in, out> vs multiplier oracle"}),
+    "nuclearity-curve": Suite(nuclearity_curve, {
+        "s": "splitting distance", "sigma": "Hardy constant",
+        "trace_norm": "||T_s||_1 estimate",
+        "trace_rel_change": "relative change at last refinement",
+        "trace_scale": "tan-map scale of the last Nystrom refinement",
+        "trace_nodes": "Nystrom node count of the last refinement",
+        "trace_converged": "whether the refinement met its tolerance",
+        "bound_distal": "geometric series bound (inf above radius)",
+        "log_bound_minus": "log of the Pauli-improved series (fermionic)"}),
+    "find-smin": Suite(find_smin_suite, {
+        "kappa": "strip parameter", "s_min": "root of sigma*||T||=1"}),
+    "free-bose": Suite(free_bose, {
+        "s": "splitting distance", "value": "determinant surrogate",
+        "max_singular_phi": "largest singular value, position kernel",
+        "max_singular_pi": "largest singular value, momentum kernel",
+        "trace_phi": "trace norm, position kernel",
+        "trace_pi": "trace norm, momentum kernel"}),
+    "ising-fermi": Suite(ising_fermi, {
+        "s": "splitting distance",
+        "exp_bound": "exponential trace-norm bound",
+        "det_bound": "determinant bound from the same spectrum"}),
+    "partition": Suite(partition, {
+        "beta": "inverse temperature", "inv_beta": "1/beta",
+        "mu": "modular weight arctan(beta/2r)/2pi",
+        "s_effective": "r sin(2 pi mu)",
+        "log_bound": "log of the partition bound",
+        "bound": "partition bound (inf when above double range)",
+        "heuristic": "always true: kernel extrapolation is heuristic"}),
 }
 
 

@@ -108,6 +108,41 @@ def test_cli_schema(capsys):
     assert "smatrix" in schema
 
 
+# each suite on the cheapest catalogue model it applies to, plus a
+# fermionic model for the curve, whose log_bound_minus column is
+# fermionic-only; the overrides only shrink the work
+SCHEMA_CASES = [("verify-scattering", "free"), ("verify-algebra", "free"),
+                ("verify-locality", "free"), ("smatrix", "free"),
+                ("nuclearity-curve", "free"), ("nuclearity-curve", "ising"),
+                ("find-smin", "shg-b050"), ("free-bose", "free"),
+                ("ising-fermi", "ising"), ("partition", "ising")]
+SCHEMA_OVERRIDES = ["nuclearity.steps=2", "nuclearity.nodes=100",
+                    "partition.steps=2", "algebra.trials=1",
+                    "smatrix.trials=1", "smatrix.n_values=2",
+                    "locality.order=256", "locality.grid_count=11",
+                    "locality.spectators=1"]
+
+
+def test_schema_cases_cover_every_suite():
+    from wedgeqft.suites import SUITES
+    assert {name for name, _ in SCHEMA_CASES} == set(SUITES)
+
+
+@pytest.mark.parametrize("name,model", SCHEMA_CASES)
+def test_schema_documents_emitted_columns(name, model, capsys):
+    from wedgeqft.cli import run_suites
+    assert main([name, "--schema"]) == 0
+    documented = set(json.loads(capsys.readouterr().out)[name])
+    cfg = load_config(resolve_config_path(f"catalogue:{model}"),
+                      overrides=SCHEMA_OVERRIDES)
+    if cfg.model.epsilon == +1:
+        documented.discard("log_bound_minus")
+    rows = run_suites(cfg, [name], 0)[name].rows
+    assert rows
+    for row in rows:
+        assert set(row) == documented
+
+
 def test_cli_missing_config_exit2(tmp_path, capsys):
     code = main(["verify-scattering", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")])
@@ -163,14 +198,12 @@ def test_cli_corrupt_model_fails_suite(tmp_path, capsys):
 
 
 def test_cli_nonconvergence_exit3(tmp_path, capsys, monkeypatch):
-    from wedgeqft import cli as cli_mod
-    from wedgeqft.suites import SuiteResult
+    from wedgeqft.suites import SUITES, Suite, SuiteResult
 
     def stub(cfg, rng):
-        return SuiteResult("verify-scattering", True, {"note": "stub"},
-                           nonconverged=True)
+        return SuiteResult(True, {"note": "stub"}, nonconverged=True)
 
-    monkeypatch.setitem(cli_mod.SUITE_FUNCTIONS, "verify-scattering", stub)
+    monkeypatch.setitem(SUITES, "verify-scattering", Suite(stub, {}))
     p = write(tmp_path, MINIMAL.format(imag=math.pi / 2))
     code = main(["verify-scattering", "--config", str(p),
                  "--out", str(tmp_path / "out")])

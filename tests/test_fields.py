@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import wedgeqft as wq
-from wedgeqft.errors import QuadratureOverflowError
-from wedgeqft.fields import (field_norm_scale, sample_mass_shell,
-                             timezero_samples)
+from wedgeqft.errors import ConvergenceError, QuadratureOverflowError
+from wedgeqft.fields import (ORDER_CAP, _auto_order, field_norm_scale,
+                             sample_mass_shell, timezero_samples)
 from wedgeqft.fock import FockVector
 
 
@@ -228,3 +228,16 @@ def test_nonlocality_witness(catalogue, grid41):
     # Ising with spacelike-separated supports: nonzero witness
     op_ising, _ = wq.nonlocality_witness(catalogue["ising"], f, g, grid41)
     assert np.max(np.abs(op_ising)) > 0
+
+
+def test_bump_order_cap_raises_instead_of_aliasing():
+    # order need = int(1.3 * |p| * half_width) + 48: 16383 at |p| = 12566,
+    # 16385 at 12567 (checked on the order alone: a 16384-node rule takes
+    # seconds to build)
+    assert _auto_order(64, 12566.0) == ORDER_CAP
+    with pytest.raises(ConvergenceError):
+        _auto_order(64, 12567.0)
+    # a rule clamped at the cap aliases to |ft| ~ 2e-3 here, where the true
+    # transform is below 1e-100
+    with pytest.raises(ConvergenceError):
+        wq.Bump1D(0.0, 1.0).fourier(40000.0)
