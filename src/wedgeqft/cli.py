@@ -84,8 +84,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="wedgeqft",
         description="Verify factorizing-S-matrix model identities and bounds")
-    parser.add_argument("suite", choices=[*SUITES, "all"],
-                        help="verification suite to run")
+    parser.add_argument("suite", nargs="?", choices=[*SUITES, "all"],
+                        help="verification suite to run (not needed with "
+                             "--schema)")
     parser.add_argument("--config", required=False,
                         help="config path or catalogue:NAME")
     parser.add_argument("--out", default="wedgeqft-out",
@@ -115,6 +116,8 @@ def main(argv=None):
         schema = {name: suite.column_docs for name, suite in SUITES.items()}
         print(json.dumps(schema, sort_keys=True, indent=2))
         return 0
+    if args.suite is None:
+        parser.error("the following arguments are required: suite")
 
     if args.config is None:
         _fail_json({"kind": "config", "message": "--config is required"})

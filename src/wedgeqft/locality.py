@@ -8,9 +8,17 @@ physical strip, so the integrals cancel; the checks below evaluate both
 integrals, their sum, and the strip-shift mechanism behind the
 cancellation, then repeat the statement at operator level on truncated
 vectors.
+
+The mass-shell restrictions f^{+-}, g^{+-} on a quadrature line do not
+depend on S2 or on the spectators, so each is computed once per (test
+function, sign, mass, window, order, line) and cached as a read-only
+array shared by every n, every refinement order that repeats a line and
+every model of the same mass.  A cached array holds exactly the values a
+fresh ``mass_shell`` call returns, so no result depends on what ran before.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -82,8 +90,41 @@ def _require_wedge_separation(f, g):
         raise WedgeQFTError(f"g box {g.support_box} not inside W_L")
 
 
-def _restriction(S, f, sign):
-    return lambda z: mass_shell(f, sign, z, mass=S.mass)
+@lru_cache(maxsize=64)
+def _line_restriction(f, sign, mass, window, order, shift):
+    """f^{sign} at the ``order``-point nodes of [-window, window] + i*shift.
+
+    The array is cached and shared, so it is read-only.
+    """
+    t, _ = _gl_line(window, order)
+    vals = mass_shell(f, sign, t + 1j * shift if shift else t, mass=mass)
+    vals.flags.writeable = False
+    return vals
+
+
+def _contour_samples(S, f, g, n, spectators, window, order):
+    """(B, C) per spectator tuple on the real line, with tail checks."""
+    t, w = _gl_line(window, order)
+    fm_v = _line_restriction(f, -1, S.mass, window, order, 0.0)
+    gp_v = _line_restriction(g, +1, S.mass, window, order, 0.0)
+    fp_v = _line_restriction(f, +1, S.mass, window, order, 0.0)
+    gm_v = _line_restriction(g, -1, S.mass, window, order, 0.0)
+    out = []
+    for theta in spectators:
+        theta = tuple(float(x) for x in theta)
+        if len(theta) != n:
+            raise ValueError(f"spectator tuple {theta} does not have length {n}")
+        B, tail_b = _line_integral(S, fm_v, gp_v, t, w, theta, flip=False)
+        C, tail_c = _line_integral(S, fp_v, gm_v, t, w, theta, flip=True)
+        C = -C
+        _check_tail(B, tail_b)
+        _check_tail(C, tail_c)
+        out.append((theta, B, C))
+    return out
+
+
+def _relative_sum(B, C):
+    return abs(B + C) / max(abs(B), abs(C), RESIDUAL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -117,36 +158,25 @@ def verify_contour_identity(S, f, g, n, spectators, tol,
     """
     if check_support:
         _require_wedge_separation(f, g)
-    fm = _restriction(S, f, -1)
-    gp = _restriction(S, g, +1)
-    fp = _restriction(S, f, +1)
-    gm = _restriction(S, g, -1)
-
-    t, w = _gl_line(window, order)
-    fm_v, gp_v = fm(t), gp(t)
-    fp_v, gm_v = fp(t), gm(t)
     rows = []
     worst = 0.0
-    for theta in spectators:
-        theta = tuple(float(x) for x in theta)
-        if len(theta) != n:
-            raise ValueError(f"spectator tuple {theta} does not have length {n}")
-        B, tail_b = _line_integral(S, fm_v, gp_v, t, w, theta, flip=False)
-        C, tail_c = _line_integral(S, fp_v, gm_v, t, w, theta, flip=True)
-        C = -C
-        _check_tail(B, tail_b)
-        _check_tail(C, tail_c)
-        rel = abs(B + C) / max(abs(B), abs(C), RESIDUAL_FLOOR)
+    for theta, B, C in _contour_samples(S, f, g, n, spectators, window, order):
+        rel = _relative_sum(B, C)
         worst = max(worst, rel)
         rows.append({"n": n, "thetas": theta, "abs_b": abs(B), "abs_c": abs(C),
                      "abs_sum": abs(B + C), "relative": rel})
 
     # shift mechanism at the first sample: B computed on Im(t) = pi
+    t, w = _gl_line(window, order)
     theta0 = tuple(float(x) for x in spectators[0]) if spectators else ()
-    B0, _ = _line_integral(S, fm_v, gp_v, t, w, theta0, flip=False)
-    zs = t + 1j * math.pi
-    Bs, _ = _line_integral(S, fm(zs), gp(zs), t, w, theta0, flip=False,
-                           shift=math.pi)
+
+    def b_on_line(shift):
+        fm_v = _line_restriction(f, -1, S.mass, window, order, shift)
+        gp_v = _line_restriction(g, +1, S.mass, window, order, shift)
+        return _line_integral(S, fm_v, gp_v, t, w, theta0, flip=False,
+                              shift=shift)[0]
+
+    B0, Bs = b_on_line(0.0), b_on_line(math.pi)
     shift_rel = abs(Bs - B0) / max(abs(B0), RESIDUAL_FLOOR)
 
     return ContourReport(n=n, samples=tuple(rows), max_relative=float(worst),
@@ -156,11 +186,12 @@ def verify_contour_identity(S, f, g, n, spectators, tol,
 def refinement_study(S, f, g, n, spectators, orders,
                      window=WINDOW_DEFAULT):
     """Max relative residual at each quadrature order (for ratio checks)."""
+    _require_wedge_separation(f, g)
     out = []
     for order in orders:
-        rep = verify_contour_identity(S, f, g, n, spectators, tol=math.inf,
-                                      window=window, order=order)
-        out.append(rep.max_relative)
+        samples = _contour_samples(S, f, g, n, spectators, window, order)
+        out.append(max((_relative_sum(B, C) for _, B, C in samples),
+                       default=0.0))
     return out
 
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ModelError, PoleProximityError, StripError
+from .errors import ConvergenceError, ModelError, PoleProximityError, StripError
 
 HALF_PI = math.pi / 2
 
@@ -256,9 +256,10 @@ def phase_shift(S, zeta, _nsub=8):
     """Phase shift delta with S2(z) = S2(0) exp(2*i*delta(z)), delta(0) = 0.
 
     The branch is tracked continuously along the path 0 -> Re(z) -> z;
-    steps are refined adaptively until each log increment is unambiguous.
-    delta is odd and real on the real line.  Points outside the open strip
-    |Im z| < kappa(S) are rejected.
+    steps are refined adaptively until each log increment is unambiguous,
+    and :class:`ConvergenceError` is raised when 2^21 steps on one leg
+    still leave it ambiguous.  delta is odd and real on the real line.
+    Points outside the open strip |Im z| < kappa(S) are rejected.
     """
     z = complex(zeta)
     if abs(z.imag) >= kappa(S):
@@ -281,9 +282,13 @@ def phase_shift(S, zeta, _nsub=8):
             vals = g(pts)
             ratios = vals[1:] / vals[:-1]
             # |log ratio| < 0.5 keeps the principal branch unambiguous
-            if np.max(np.abs(np.log(ratios))) < 0.5 or n > 2 ** 20:
+            if np.max(np.abs(np.log(ratios))) < 0.5:
                 total += np.sum(np.log(ratios))
                 break
+            if n > 2 ** 20:
+                raise ConvergenceError(
+                    f"phase_shift branch still ambiguous on {start} -> {end} "
+                    f"after {n} subdivisions")
             n *= 2
     return total / 2j
 

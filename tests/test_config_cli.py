@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +110,16 @@ def test_cli_schema(capsys):
     out = capsys.readouterr().out
     schema = json.loads(out)
     assert "smatrix" in schema
+
+
+def test_python_m_entry_point_schema():
+    src = str(pathlib.Path(wq.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "wedgeqft", "--schema"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify-locality" in json.loads(proc.stdout)
 
 
 # each suite on the cheapest catalogue model it applies to, plus a

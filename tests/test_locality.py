@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import wedgeqft as wq
+from wedgeqft import locality, suites
+from wedgeqft.cli import resolve_config_path
+from wedgeqft.config import load_config
 from wedgeqft.errors import WedgeQFTError
 from wedgeqft.locality import RESIDUAL_FLOOR
 
@@ -107,6 +110,50 @@ def test_refinement_ratios(shg, wedge_pair):
     vals = wq.refinement_study(shg, f, g, 1, [(0.5,)], orders=(256, 512, 1024))
     for prev, nxt in zip(vals, vals[1:]):
         assert nxt <= prev / 10 or nxt <= 1e-9
+
+
+def test_line_restrictions_computed_once(monkeypatch, rng):
+    cfg = load_config(resolve_config_path("catalogue:free"),
+                      overrides=["locality.order=256", "locality.grid_count=11",
+                                 "locality.spectators=1"])
+    calls = []
+
+    def counting(f, sign, zeta, mass=1.0):
+        calls.append(mass)
+        return wq.mass_shell(f, sign, zeta, mass=mass)
+
+    monkeypatch.setattr(locality, "mass_shell", counting)
+    locality._line_restriction.cache_clear()
+    suites.verify_locality(cfg, rng)
+    # f-, g+, f+, g- on the real line and f-, g+ on Im t = pi at the
+    # configured order, then the four real-line ones per refinement order
+    assert len(calls) <= 6 + 4 * 3
+
+    # the values depend on the mass only, not on S2 or the spectators
+    loc = cfg.locality
+    f, g = cfg.testfunction(loc.f_name), cfg.testfunction(loc.g_name)
+    before = len(calls)
+    for S in (cfg.model, wq.build_model(-1)):
+        locality.verify_contour_identity(S, f, g, 1, [(0.3,)], tol=1e-6,
+                                         window=loc.window, order=loc.order)
+    assert len(calls) == before
+
+    heavy = wq.build_model(+1, m=2.0)
+    locality.verify_contour_identity(heavy, f, g, 0, [()], tol=1e-6,
+                                     window=loc.window, order=loc.order)
+    assert len(calls) > before
+    assert set(calls[before:]) == {2.0}
+
+
+def test_cached_line_restriction_is_exact_and_read_only(wedge_pair):
+    f, _ = wedge_pair
+    t, _ = locality._gl_line(8.0, 256)
+    for shift in (0.0, np.pi):
+        cached = locality._line_restriction(f, -1, 1.0, 8.0, 256, shift)
+        direct = wq.mass_shell(f, -1, t + 1j * shift, mass=1.0)
+        assert np.array_equal(cached.view(np.uint64), direct.view(np.uint64))
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
 
 def test_operator_commutator_and_halving(shg, wedge_pair, rng):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
-from wedgeqft.errors import ModelError, PoleProximityError, StripError
+from wedgeqft.errors import (ConvergenceError, ModelError, PoleProximityError,
+                             StripError)
 from wedgeqft.sfunction import ScatteringFunction
 
 HALF_PI = math.pi / 2
@@ -163,6 +164,14 @@ def test_phase_shift_normalization_and_oddness(shg, ising):
         lhs = cmath.exp(2j * wq.phase_shift(shg, z))
         rhs = wq.evaluate(shg, z) / wq.evaluate(shg, 0.0)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_phase_shift_raises_when_branch_stays_ambiguous():
+    # a zero 1e-7 off the real axis makes the phase jump within ~1e-7 of
+    # t = 0.3, finer than 2^21 steps over [0, 0.6] resolve
+    S = wq.build_model(-1, zeros=[0.3 + 1e-7j])
+    with pytest.raises(ConvergenceError):
+        wq.phase_shift(S, 0.6)
 
 
 def test_phase_shift_strip_violation(resonance):
