@@ -8,6 +8,7 @@ pass, 1 suite failure, 2 configuration error, 3 numerical non-convergence.
 
 import argparse
 import csv
+import dataclasses
 import importlib.resources
 import json
 import pathlib
@@ -137,8 +138,9 @@ def main(argv=None):
     if args.r is not None:
         overrides.append(f"partition.r={args.r}")
     try:
-        path = resolve_config_path(args.config)
-        cfg = load_config(path, overrides=overrides)
+        cfg = load_config(resolve_config_path(args.config), overrides=overrides)
+        # the report names the config as given, not where it is installed
+        cfg = dataclasses.replace(cfg, path=args.config)
     except ConfigError as exc:
         _fail_json({"kind": "config", "message": str(exc),
                     "path": getattr(exc, "path", None),

@@ -6,21 +6,30 @@ permutation representation, symmetrizer, creation/annihilation, Poincare
 action, reflections) act level by level on those tensors.  The grid delta
 is represented as delta_ij / w_i, which makes the exchange-algebra
 identities close exactly at grid level instead of up to quadrature error.
+
+One kernel, :func:`_insert`, carries the twisted insertion behind the
+creator, the symmetrizer and (z^dag x z): I_a sums the moves of slot a to
+each slot k >= a, every move one twisted adjacent swap past the last.  It
+consumes its tensor argument and accumulates the sum into it.  The
+symmetrizer factors over the cosets of S_{n-1} (Okounkov & Vershik,
+Selecta Math. 2 (1996) 581) as P_n = (1/n) I_0 (1 x P_{n-1}): n(n-1)/2
+twisted swaps instead of n! permutations.  On a twisted-symmetric
+Phi_{n-1} the creator is n^{-1/2} I_0 (psi x Phi_{n-1}).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 import json
 import math
 
 import numpy as np
 
 from .errors import (GridError, SupportOverflowError, TruncationCapError)
-from .sfunction import evaluate, node_matrix
+from .sfunction import node_matrix
 
 N_HARD_CAP = 6
 MAX_TENSOR_ELEMENTS = 2 ** 25  # dense rank-n tensors; ~0.5 GiB of complex128
+SUPPORT_TOL = 1e-10  # amplitude a boost may push off-grid, relative to the norm
 
 
 @dataclass(frozen=True)
@@ -127,15 +136,6 @@ class FockVector:
     def vacuum(cls, grid):
         return cls(grid, [np.asarray(1.0 + 0.0j)])
 
-    @classmethod
-    def zero(cls, grid, n_max):
-        return cls(grid, [np.zeros((grid.count,) * n, dtype=complex)
-                          for n in range(n_max + 1)])
-
-    @classmethod
-    def from_one_particle(cls, psi):
-        return cls(psi.grid, [np.asarray(0.0j), psi.values])
-
     def component(self, n):
         if n < len(self.components):
             return self.components[n]
@@ -163,12 +163,10 @@ class FockVector:
     def scaled(self, factor):
         return FockVector(self.grid, [factor * c for c in self.components])
 
-    def add(self, other, pad=True):
+    def add(self, other):
         if other.grid != self.grid:
             raise GridError("grid mismatch in vector sum")
         top = max(self.n_max, other.n_max)
-        if not pad and other.n_max != self.n_max:
-            raise GridError("truncation mismatch in vector sum")
         return FockVector(self.grid, [self.component(n) + other.component(n)
                                       for n in range(top + 1)])
 
@@ -238,17 +236,39 @@ def compose(p, q):
     return tuple(p[q[k]] for k in range(len(p)))
 
 
+def _insert(M, t, a=0):
+    """Sum over k >= a of slot a of ``t`` moved to slot k, with the twist.
+
+    Moving the slot one place right swaps it past its neighbour and
+    multiplies by S2(t_{k+1} - t_k) of the two nodes.  ``t`` is consumed:
+    the sum is accumulated into it and returned.
+    """
+    n = t.ndim
+    if a >= n - 1:
+        return t
+    term = np.swapaxes(t, a, a + 1) * _pair_factor(M, n, a + 1, a)
+    t += term
+    for k in range(a + 1, n - 1):
+        term = np.swapaxes(term, k, k + 1)
+        term *= _pair_factor(M, n, k + 1, k)
+        t += term
+    return t
+
+
 def symmetrize(S, psi_n, grid):
-    """Mean of the twisted action over all permutations (the projector)."""
+    """Mean of the twisted action over all permutations (the projector).
+
+    Built as P_n = (1/n) I_0 (1 x P_{n-1}), innermost slots first.
+    """
     psi_n = np.asarray(psi_n, dtype=complex)
     n = psi_n.ndim
     _check_tensor_budget(grid.count, n)
-    if n <= 1:
-        return psi_n.copy()
-    acc = np.zeros_like(psi_n)
-    for perm in permutations(range(n)):
-        acc += apply_dn(S, perm, psi_n, grid)
-    return acc / math.factorial(n)
+    out = psi_n.copy()
+    M = node_matrix(S, grid)
+    for a in range(n - 2, -1, -1):
+        out = _insert(M, out, a)
+        out /= n - a
+    return out
 
 
 def annihilate(S, psi, Phi):
@@ -276,44 +296,25 @@ def create(S, psi, Phi):
 
         n^{-1/2} sum_k prod_{j<k} S2(t_k - t_j) psi(t_k) Phi_{n-1}(... t_k hat ...)
 
-    which agrees with sqrt(n) * symmetrize(psi (x) Phi_{n-1}); see
-    :func:`create_via_projection` for the cross-check path.
+    = n^{-1/2} I_0 (psi (x) Phi_{n-1}) = sqrt(n) P_n (psi (x) Phi_{n-1}) for
+    twisted-symmetric Phi.
     """
     grid = Phi.grid
     if psi.grid != grid:
         raise GridError("grid mismatch between psi and Phi")
     _check_tensor_budget(grid.count, Phi.n_max + 1)
     M = node_matrix(S, grid)
-    N = grid.count
-    comps = [np.zeros((N,) * n, dtype=complex) for n in range(Phi.n_max + 2)]
+    comps = [np.zeros((), dtype=complex)]
     for n in range(1, Phi.n_max + 2):
-        lower = Phi.component(n - 1)
-        acc = np.zeros((N,) * n, dtype=complex)
-        for k in range(1, n + 1):
-            # insert psi at slot k (1-based) with the twist accumulated
-            # against the slots to its left
-            shape = [1] * n
-            shape[k - 1] = N
-            term = np.expand_dims(lower, axis=k - 1) * psi.values.reshape(shape)
-            for j in range(1, k):
-                term *= _pair_factor(M, n, k - 1, j - 1)
-            acc += term
-        comps[n] = acc / math.sqrt(n)
+        # lower level first: the operand order fixes the last bits
+        t = Phi.component(n - 1)[None] * psi.values.reshape((-1,) + (1,) * (n - 1))
+        out = _insert(M, t)
+        out /= math.sqrt(n)
+        comps.append(out)
     return FockVector(grid, comps)
 
 
-def create_via_projection(S, psi, Phi):
-    """Creator as sqrt(n) P_n (psi (x) Phi_{n-1}); slow reference path."""
-    grid = Phi.grid
-    N = grid.count
-    comps = [np.zeros((N,) * n, dtype=complex) for n in range(Phi.n_max + 2)]
-    for n in range(1, Phi.n_max + 2):
-        prod = np.multiply.outer(psi.values, Phi.component(n - 1))
-        comps[n] = math.sqrt(n) * symmetrize(S, prod, grid)
-    return FockVector(grid, comps)
-
-
-def _smeared_zz(S, kernel, Phi):
+def _smeared_zz(kernel, Phi):
     """(z x z)(K): contract K[j, k] w_j w_k against slots (2, 1) of level n+2."""
     grid = Phi.grid
     w = grid.weights
@@ -327,29 +328,13 @@ def _smeared_zz(S, kernel, Phi):
     return FockVector(grid, comps)
 
 
-def _smeared_zdz(S, kernel, Phi):
-    """(z^dag x z)(K): for each slot k, twist to its left and contract K[t_k, j]."""
-    grid = Phi.grid
-    M = node_matrix(S, grid)
-    N = grid.count
-    w = grid.weights
-    Kw = kernel * w[None, :]
-    comps = []
-    for n in range(Phi.n_max + 1):
-        src = Phi.component(n)
-        if n == 0:
-            comps.append(np.zeros((), dtype=complex))
-            continue
-        acc = np.zeros((N,) * n, dtype=complex)
-        for k in range(1, n + 1):
-            # contract the first slot of Phi_n against j, reinsert at slot k
-            t = np.tensordot(Kw, src, axes=([1], [0]))   # [t_k, rest...]
-            t = np.moveaxis(t, 0, k - 1)
-            for j in range(1, k):
-                t = t * _pair_factor(M, n, k - 1, j - 1)
-            acc += t
-        comps.append(acc)
-    return FockVector(grid, comps)
+def _smeared_zdz(M, kernel, Phi):
+    """(z^dag x z)(K): contract K[t, j] with slot 0, then insert t at every slot."""
+    Kw = kernel * Phi.grid.weights[None, :]
+    comps = [np.zeros((), dtype=complex)]
+    for n in range(1, Phi.n_max + 1):
+        comps.append(_insert(M, np.tensordot(Kw, Phi.component(n), axes=([1], [0]))))
+    return FockVector(Phi.grid, comps)
 
 
 @dataclass(frozen=True)
@@ -384,12 +369,12 @@ def check_zf_relations(S, psi, phi, Phi, tol):
 
     lhs1 = annihilate(S, psi, annihilate(S, phi, Phi))
     k1 = M.T * np.multiply.outer(phi.values, psi.values)   # S2^*(phi x psi)[j,k]
-    rhs1 = _smeared_zz(S, k1, Phi)
+    rhs1 = _smeared_zz(k1, Phi)
     r1 = lhs1.sub(rhs1).norm()
 
     lhs2 = annihilate(S, psi, create(S, phi, Phi))
     k2 = M * np.multiply.outer(phi.values, psi.values)     # S2(phi x psi)[a,b]
-    rhs2 = _smeared_zdz(S, k2, Phi).add(
+    rhs2 = _smeared_zdz(M, k2, Phi).add(
         Phi.scaled(complex(np.sum(grid.weights * psi.values * phi.values))))
     r2 = lhs2.sub(rhs2).norm()
 
@@ -482,20 +467,20 @@ class PoincareElement:
         return PoincareElement((x0, x1), -self.lam)
 
 
-def _node_shift(grid, lam, tol=1e-9):
+def _node_shift(grid, lam):
     steps = lam / grid.spacing
     rounded = round(steps)
-    if abs(steps - rounded) > tol:
+    if abs(steps - rounded) > 1e-9:
         raise GridError(
             f"boost {lam} is not a whole number of node shifts "
             f"(spacing {grid.spacing})")
     return int(rounded)
 
 
-def poincare_apply(S, g, Phi, support_tol=1e-10):
+def poincare_apply(S, g, Phi):
     """Unitary action: phases from the translation, node shift from the boost.
 
-    Zeros are fed in at the boundary; if amplitude exceeding ``support_tol``
+    Zeros are fed in at the boundary; if amplitude exceeding ``SUPPORT_TOL``
     (relative to the vector norm) would shift off-grid, the operation fails
     rather than silently alias.
     """
@@ -515,7 +500,7 @@ def poincare_apply(S, g, Phi, support_tol=1e-10):
                 lost += lost_axis
             # weight the dropped mass like an interior node product
             lost_norm = math.sqrt(lost * grid.spacing ** n)
-            if lost_norm > support_tol * scale:
+            if lost_norm > SUPPORT_TOL * scale:
                 raise SupportOverflowError(
                     f"boost shifts amplitude of size {lost_norm:.3e} "
                     f"off-grid at level {n}")
@@ -528,9 +513,13 @@ def poincare_apply(S, g, Phi, support_tol=1e-10):
 
 
 def _shift_axis(c, axis, shift):
-    """Shift one axis by `shift` nodes, feeding zeros; returns lost mass."""
+    """Shift one axis by `shift` nodes, feeding zeros; returns lost mass.
+
+    A shift by the axis length or more loses everything.
+    """
     c = np.moveaxis(c, axis, 0)
     out = np.zeros_like(c)
+    shift = max(-c.shape[0], min(c.shape[0], shift))
     if shift > 0:
         lost = float(np.sum(np.abs(c[c.shape[0] - shift:]) ** 2))
         out[shift:] = c[:c.shape[0] - shift]
@@ -565,7 +554,7 @@ def modular_boost(S, t, Phi):
     return poincare_apply(S, PoincareElement((0.0, 0.0), -2 * math.pi * t), Phi)
 
 
-def random_fock(S, grid, n_max, rng, margin=0, scale=1.0):
+def random_fock(S, grid, n_max, rng, margin=0):
     """Random twisted-symmetric vector; `margin` zeroes boundary shells.
 
     Zeroing the outer `margin` nodes before symmetrizing keeps boost tests
@@ -579,8 +568,7 @@ def random_fock(S, grid, n_max, rng, margin=0, scale=1.0):
     comps = [np.asarray(rng.standard_normal() + 1j * rng.standard_normal(),
                         dtype=complex)]
     for n in range(1, n_max + 1):
-        raw = (rng.standard_normal((N,) * n)
-               + 1j * rng.standard_normal((N,) * n)) * scale
+        raw = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
         for axis in range(n):
             shape = [1] * n
             shape[axis] = N
@@ -615,16 +603,7 @@ def load_fock_vector(path):
     return FockVector(grid, comps)
 
 
-def random_wavefunction(grid, rng, margin=0, normalize=True):
-    mask = np.ones(grid.count)
-    if margin:
-        mask[:margin] = 0.0
-        mask[-margin:] = 0.0
-    v = (rng.standard_normal(grid.count)
-         + 1j * rng.standard_normal(grid.count)) * mask
-    psi = WaveFunction1(grid, v)
-    if normalize:
-        nrm = psi.norm()
-        if nrm > 0:
-            psi = WaveFunction1(grid, v / nrm)
-    return psi
+def random_wavefunction(grid, rng):
+    """Random one-particle vector of unit norm."""
+    v = rng.standard_normal(grid.count) + 1j * rng.standard_normal(grid.count)
+    return WaveFunction1(grid, v / WaveFunction1(grid, v).norm())

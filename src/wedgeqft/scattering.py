@@ -15,8 +15,6 @@ Phi+ is the plain-symmetrized packet and S_n the multiplier below.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-import math
 
 import numpy as np
 
@@ -81,25 +79,7 @@ def _creation_chain(S, grid, waves):
     state = FockVector.vacuum(grid)
     for psi in reversed(waves):      # rightmost creator acts first
         state = create(S, psi, state)
-    return FockVector(grid, [state.component(n) for n in range(len(waves) + 1)])
-
-
-def state_via_projection(S, packet, reverse=False):
-    """sqrt(n!) P_n (tensor product) reference construction."""
-    from .fock import symmetrize
-
-    waves = list(packet.waves)
-    if reverse:
-        waves = waves[::-1]
-    n = len(waves)
-    prod = waves[0].values
-    for psi in waves[1:]:
-        prod = np.multiply.outer(prod, psi.values)
-    comps = [np.zeros((packet.grid.count,) * k, dtype=complex)
-             for k in range(n)]
-    comps.append(math.sqrt(math.factorial(n))
-                 * symmetrize(S, prod, packet.grid))
-    return FockVector(packet.grid, comps)
+    return state
 
 
 def smatrix_factor(S, thetas):
@@ -174,56 +154,33 @@ def moller_multiplier(S, direction, thetas):
     raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
 
 
-def plain_symmetrized_product(waves):
-    """sqrt(n!) P_n^+ (tensor product): the free-statistics reference."""
-    n = len(waves)
-    N = waves[0].grid.count
-    acc = np.zeros((N,) * n, dtype=complex)
-    vals = [psi.values for psi in waves]
-    for perm in permutations(range(n)):
-        term = vals[perm[0]]
-        for k in range(1, n):
-            term = np.multiply.outer(term, vals[perm[k]])
-        acc += term
-    return acc / math.sqrt(math.factorial(n))
-
-
-def overlap_oracle(S, packet, reduced=True):
+def overlap_oracle(S, packet):
     """Weighted sum of conj(S_n) |Phi+|^2 for the plain-symmetrized packet.
 
-    With ``reduced`` the disjoint supports are exploited: cross terms of
-    |Phi+|^2 vanish pointwise and total symmetry of the multiplier makes
-    all n! diagonal terms equal, leaving one contraction of the multiplier
-    tensor against the per-particle weight densities.  ``reduced=False``
-    evaluates the symmetrized tensor literally (slow reference path).
+    The disjoint supports make the cross terms of |Phi+|^2 vanish
+    pointwise, and total symmetry of the multiplier makes all n! diagonal
+    terms equal.  That leaves one contraction of the multiplier tensor
+    against the per-particle weight densities.
     """
     grid = packet.grid
     n = len(packet)
-    Sn = smatrix_tensor(S, grid, n)
-    if reduced:
-        dens = np.conj(Sn)
-        for k, psi in enumerate(packet.waves):
-            a = grid.weights * np.abs(psi.values) ** 2
-            shape = [1] * n
-            shape[k] = grid.count
-            dens = dens * a.reshape(shape)
-        return complex(dens.sum())
-    plus = plain_symmetrized_product(packet.waves)
-    dens = np.conj(Sn) * np.abs(plus) ** 2
-    for _ in range(n):
-        dens = np.tensordot(dens, grid.weights, axes=([0], [0]))
-    return complex(dens)
+    dens = np.conj(smatrix_tensor(S, grid, n))
+    for k, psi in enumerate(packet.waves):
+        a = grid.weights * np.abs(psi.values) ** 2
+        shape = [1] * n
+        shape[k] = grid.count
+        dens = dens * a.reshape(shape)
+    return complex(dens.sum())
 
 
-def random_ordered_packet(grid, n, rng, min_block=2):
-    """Random packet on n disjoint index blocks spread across the grid."""
+def random_ordered_packet(grid, n, rng):
+    """Random packet on n disjoint blocks of 2+ nodes spread across the grid."""
     N = grid.count
     span = N // n
     usable = span - 2
-    if usable < min_block:
+    if usable < 2:
         raise OrderingError(
-            f"grid with {N} nodes cannot hold {n} separated blocks of "
-            f"{min_block}+ nodes")
+            f"grid with {N} nodes cannot hold {n} separated blocks of 2+ nodes")
     waves = []
     for k in range(n):
         lo = k * span

@@ -1,0 +1,77 @@
+"""Slow reference constructions that the library kernels are checked against.
+
+Each one builds its object literally from the definition (sums over all
+n! permutations, explicit tensor products), so it shares no kernel with
+the code under test.
+"""
+
+from itertools import permutations
+import math
+
+import numpy as np
+
+import wedgeqft as wq
+from wedgeqft.fock import FockVector
+from wedgeqft.scattering import smatrix_tensor
+
+
+def symmetrize_by_permutations(S, psi_n, grid):
+    """P_n as the mean of the twisted action over all n! permutations."""
+    psi_n = np.asarray(psi_n, dtype=complex)
+    n = psi_n.ndim
+    acc = np.zeros_like(psi_n)
+    for perm in permutations(range(n)):
+        acc += wq.apply_dn(S, perm, psi_n, grid)
+    return acc / math.factorial(n)
+
+
+def create_via_projection(S, psi, Phi):
+    """Creator as sqrt(n) P_n (psi (x) Phi_{n-1})."""
+    grid = Phi.grid
+    N = grid.count
+    comps = [np.zeros((N,) * n, dtype=complex) for n in range(Phi.n_max + 2)]
+    for n in range(1, Phi.n_max + 2):
+        prod = np.multiply.outer(psi.values, Phi.component(n - 1))
+        comps[n] = math.sqrt(n) * symmetrize_by_permutations(S, prod, grid)
+    return FockVector(grid, comps)
+
+
+def state_via_projection(S, packet, reverse=False):
+    """sqrt(n!) P_n (psi_1 (x) ... (x) psi_n), the scattering-state definition."""
+    waves = list(packet.waves)
+    if reverse:
+        waves = waves[::-1]
+    n = len(waves)
+    prod = waves[0].values
+    for psi in waves[1:]:
+        prod = np.multiply.outer(prod, psi.values)
+    comps = [np.zeros((packet.grid.count,) * k, dtype=complex)
+             for k in range(n)]
+    comps.append(math.sqrt(math.factorial(n))
+                 * symmetrize_by_permutations(S, prod, packet.grid))
+    return FockVector(packet.grid, comps)
+
+
+def plain_symmetrized_product(waves):
+    """sqrt(n!) P_n^+ (tensor product): the free-statistics reference."""
+    n = len(waves)
+    N = waves[0].grid.count
+    acc = np.zeros((N,) * n, dtype=complex)
+    vals = [psi.values for psi in waves]
+    for perm in permutations(range(n)):
+        term = vals[perm[0]]
+        for k in range(1, n):
+            term = np.multiply.outer(term, vals[perm[k]])
+        acc += term
+    return acc / math.sqrt(math.factorial(n))
+
+
+def overlap_literal(S, packet):
+    """Weighted sum of conj(S_n) |Phi+|^2 with Phi+ built literally."""
+    grid = packet.grid
+    n = len(packet)
+    plus = plain_symmetrized_product(packet.waves)
+    dens = np.conj(smatrix_tensor(S, grid, n)) * np.abs(plus) ** 2
+    for _ in range(n):
+        dens = np.tensordot(dens, grid.weights, axes=([0], [0]))
+    return complex(dens)

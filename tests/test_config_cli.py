@@ -245,6 +245,21 @@ def test_cli_determinism(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_config_path_recorded_as_given(tmp_path, capsys):
+    # a catalogue config is named, not located: report bytes must not
+    # depend on where the package is installed
+    assert main(["verify-scattering", "--config", "catalogue:free",
+                 "--out", str(tmp_path / "a")]) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["config_path"] == "catalogue:free"
+    p = write(tmp_path, "[model]\nepsilon = 1\n")
+    assert main(["verify-scattering", "--config", str(p),
+                 "--out", str(tmp_path / "b")]) == 0
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert report["config_path"] == str(p)
+    capsys.readouterr()
+
+
 def test_cli_seed_recorded(tmp_path, capsys):
     code = main(["smatrix", "--config", "catalogue:free",
                  "--out", str(tmp_path / "out"), "--seed", "0x1234"])

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
+from oracles import create_via_projection, symmetrize_by_permutations
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
-from wedgeqft.fock import (FockVector, compose, create_via_projection,
-                           _weighted_inner)
+from wedgeqft.fock import FockVector, compose, _weighted_inner
 from wedgeqft.sfunction import evaluate
+
+HALF_PI = math.pi / 2
 
 
 def dn_oracle(S, perm, f, grid):
@@ -89,6 +92,23 @@ def test_symmetrize_idempotent_and_pauli(shg, ising, free, grid7, rng):
                                        grid7))) < 1e-13
     sym = wq.symmetrize(free, np.multiply.outer(psi, psi), grid7)
     assert_allclose(sym, np.multiply.outer(psi, psi), atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((+1, -1)),
+       st.lists(st.tuples(st.floats(-3, 3), st.floats(0.05, HALF_PI)),
+                max_size=2),
+       st.integers(2, 5), st.sampled_from((5, 7, 9, 11)),
+       st.integers(0, 2 ** 32 - 1))
+def test_symmetrize_matches_permutation_sum(eps, zeros, n, count, seed):
+    # the coset-factorized symmetrizer against the literal n!-sum; the
+    # tolerance allows a few hundred roundings of unimodular factors
+    S = wq.build_model(eps, zeros=[complex(re, im) for re, im in zeros])
+    grid = wq.RapidityGrid(6.0, count)
+    f = rand_tensor(grid, n, np.random.default_rng(seed))
+    want = symmetrize_by_permutations(S, f, grid)
+    got = wq.symmetrize(S, f, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_symmetrize_cap(shg, grid7, rng):
@@ -200,6 +220,18 @@ def test_poincare_errors(shg, grid21, rng):
     # full-support vector cannot be shifted without loss
     with pytest.raises(SupportOverflowError):
         wq.poincare_apply(shg, wq.PoincareElement((0, 0), 3 * grid21.spacing), Phi)
+
+
+def test_boost_past_the_whole_grid(shg, grid21, rng):
+    # shifting by the node count or more loses all amplitude: a typed
+    # error for a nonzero vector, the zero vector for a zero one
+    Phi = wq.random_fock(shg, grid21, 2, rng)
+    for steps in (21, 22, 40, -21, -22, -40):
+        g = wq.PoincareElement((0, 0), steps * grid21.spacing)
+        with pytest.raises(SupportOverflowError):
+            wq.poincare_apply(shg, g, Phi)
+        zero = Phi.scaled(0.0)
+        assert wq.poincare_apply(shg, g, zero).norm() == 0
 
 
 def test_reflections(catalogue, grid21, rng):

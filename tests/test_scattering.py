@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
+from oracles import overlap_literal, state_via_projection
 from wedgeqft.errors import OrderingError
 from wedgeqft.fock import WaveFunction1
-from wedgeqft.scattering import (overlap_oracle, smatrix_tensor,
-                                 state_via_projection)
+from wedgeqft.scattering import overlap_oracle, smatrix_tensor
 
 
 def block_wave(grid, lo, hi, rng):
@@ -118,8 +118,8 @@ def test_overlap_oracle_reduced_matches_literal(catalogue, grid41, rng):
     for S in catalogue.values():
         for n in (2, 3):
             packet = wq.random_ordered_packet(grid41, n, rng)
-            fast = overlap_oracle(S, packet, reduced=True)
-            slow = overlap_oracle(S, packet, reduced=False)
+            fast = overlap_oracle(S, packet)
+            slow = overlap_literal(S, packet)
             assert abs(fast - slow) < 1e-12
 
 
