@@ -14,6 +14,20 @@ truncation.  On top of the trace norms sit the Hardy constant, the
 geometric and Pauli-improved bound series, the minimal splitting distance,
 the free/fermionic special cases and the heuristic partition-function
 bound.
+
+The SVD runs on a smaller real matrix with the same singular values.  The
+tan-mapped rule is mirror-symmetric bit for bit (y reversed is -y, w
+reversed is w), and every kernel here has K(-x, -y) = +-conj K(x, y), so
+with J the reversal permutation the weighted matrix A = X + iY satisfies
+J A J = +-conj(A): it is centrohermitian (modular, bose_phi, bose_pi) or
+skew-centrohermitian (general).  The unitary U = (I + iJ)/sqrt(2) makes
+a centrohermitian matrix real (Lee, Linear Algebra Appl. 29 (1980) 205):
+U^H A U = X - YJ.  In the skew case iA = -Y + iX is centrohermitian, so
+U^H (iA) U = -(X + YJ) J, and X + YJ = -J (X - YJ) J.  Either way X - YJ
+has the singular values of A.  The damping e^{-a cosh x} sits on the row
+variable and underflows to exactly 0.0 at large |x|; those rows of A,
+and of X - YJ, are identically zero and contribute only zero singular
+values, so they are dropped before the SVD.
 """
 
 from dataclasses import dataclass
@@ -32,6 +46,7 @@ NODES_DEFAULT = 400
 REFINE_TOL = 1e-3
 MAX_DOUBLINGS = 3
 SERIES_TAIL_TOL = 1e-12
+SERIES_CHUNK = 1 << 18
 
 
 def _tan_rule(scale, nodes):
@@ -105,14 +120,27 @@ class KernelOperator:
         raise ModelError(f"unknown kernel kind {self.kind!r}")
 
 
-def singular_values(K):
-    """Singular values of the weight-symmetrized Nystrom matrix."""
+def _nystrom_matrix(K):
+    """Weight-symmetrized Nystrom matrix sqrt(w_i) K(y_i, y_j) sqrt(w_j)."""
     y, w = _tan_rule(K.scale, K.nodes)
-    kern = K.kernel()
-    A = kern(y[:, None], y[None, :])
+    A = K.kernel()(y[:, None], y[None, :])
     sw = np.sqrt(w)
-    A = sw[:, None] * A * sw[None, :]
-    return np.linalg.svd(A, compute_uv=False)
+    return sw[:, None] * A * sw[None, :]
+
+
+def singular_values(K):
+    """Singular values of the weight-symmetrized Nystrom matrix, descending.
+
+    Computed from the real matrix X - YJ on the rows where A = X + iY is
+    not identically zero (see the module docstring).  The zero singular
+    values of the dropped rows are left out, so the array is shorter than
+    ``K.nodes`` when the damping underflows, and empty when it underflows
+    on every row.
+    """
+    A = _nystrom_matrix(K)
+    keep = np.any(A != 0, axis=1)
+    return np.linalg.svd(A.real[keep] - A.imag[keep][:, ::-1],
+                         compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -252,22 +280,43 @@ def sqrt_factorial_series(x):
 
 
 def log_sqrt_factorial_series(x):
-    """log of the series, computed stably for large x via log-sum-exp."""
+    """log of sum_{n>=0} x^n / sqrt(n!), in memory that does not grow with x.
+
+    The terms t_n peak at n* = floor(x^2), and their logs have curvature
+    about -1/(2 n*), so only the window n* +- (12 sqrt(2) x + 50) is summed,
+    in chunks of ``SERIES_CHUNK`` terms scaled by the peak term.  The ratio
+    t_{n+1} / t_n = x / sqrt(n + 1) decreases in n, so the omitted tails
+    are bounded by geometric series: above the window by
+    t_hi r / (1 - r) with r = x / sqrt(hi + 1), below it by
+    t_lo q / (1 - q) with q = sqrt(lo) / x.  Raises ``ConvergenceError``
+    if that bound is not below ``SERIES_TAIL_TOL`` relative to the sum.
+    """
     if x < 0:
         raise ValueError("series argument must be nonnegative")
     if x == 0.0:
         return 0.0
-    # terms peak near n = x^2; keep a generous margin past the peak
-    peak = int(x * x) + 1
-    width = int(20 * math.sqrt(peak)) + 50
-    n_top = peak + width
-    n = np.arange(n_top + 1, dtype=float)
-    logs = n * math.log(x) - 0.5 * gammaln(n + 1.0)
-    m = float(np.max(logs))
-    total = m + math.log(float(np.sum(np.exp(logs - m))))
-    tail = logs[-1] - total
-    if tail > math.log(SERIES_TAIL_TOL):
-        raise ConvergenceError("series tail not negligible; widen the margin")
+    log_x = math.log(x)
+
+    def log_terms(n):
+        return n * log_x - 0.5 * gammaln(n + 1.0)
+
+    peak = int(x * x)
+    half = int(12 * math.sqrt(2) * x) + 50
+    lo, hi = max(peak - half, 0), peak + half
+    m = float(log_terms(float(peak)))
+    acc = 0.0
+    for start in range(lo, hi + 1, SERIES_CHUNK):
+        n = np.arange(start, min(start + SERIES_CHUNK, hi + 1), dtype=float)
+        acc += float(np.sum(np.exp(log_terms(n) - m)))
+    total = m + math.log(acc)
+    r = x / math.sqrt(hi + 1)
+    tail = math.exp(float(log_terms(float(hi))) - total) * r / (1 - r)
+    if lo > 0:
+        q = math.sqrt(lo) / x
+        tail += math.exp(float(log_terms(float(lo))) - total) * q / (1 - q)
+    if not tail < SERIES_TAIL_TOL:
+        raise ConvergenceError(
+            f"series tail bound {tail:.3g} exceeds {SERIES_TAIL_TOL:g}")
     return total
 
 
@@ -346,13 +395,8 @@ def free_bose_bound(s, mass=1.0, nodes=NODES_DEFAULT):
 
 def ising_fermi_bound(s, mass=1.0, nodes=NODES_DEFAULT):
     """exp(2 ||T_phi||_1 + 2 ||T_pi||_1): always finite."""
-    if not (s > 0):
-        raise ValueError("need s > 0")
-    t_phi = float(np.sum(singular_values(
-        KernelOperator("bose_phi", (s, mass), nodes=nodes))))
-    t_pi = float(np.sum(singular_values(
-        KernelOperator("bose_pi", (s, mass), nodes=nodes))))
-    return math.exp(2 * (t_phi + t_pi))
+    r = free_bose_bound(s, mass=mass, nodes=nodes)
+    return math.exp(2 * (r.trace_phi + r.trace_pi))
 
 
 @dataclass(frozen=True)

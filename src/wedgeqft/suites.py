@@ -282,10 +282,11 @@ def ising_fermi(cfg, rng):
     ok = True
     for s in np.linspace(cfg.nuclearity.s_lo, cfg.nuclearity.s_hi,
                          cfg.nuclearity.steps):
-        exp_bound = nuclearity.ising_fermi_bound(float(s), mass=S.mass,
-                                                 nodes=cfg.nuclearity.nodes)
+        # the same expression as nuclearity.ising_fermi_bound, over the
+        # one pair of Bose spectra that the determinant bound computes
         det = nuclearity.free_bose_bound(float(s), mass=S.mass,
                                          nodes=cfg.nuclearity.nodes)
+        exp_bound = math.exp(2 * (det.trace_phi + det.trace_pi))
         ok &= math.isfinite(exp_bound)
         ok &= exp_bound < det.value
         rows.append({"s": float(s), "exp_bound": exp_bound,

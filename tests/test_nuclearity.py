@@ -1,12 +1,27 @@
 import math
+import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 import wedgeqft as wq
 from wedgeqft.errors import ConvergenceError, ModelError, StripError
-from wedgeqft.nuclearity import (KernelOperator, log_sqrt_factorial_series,
+from wedgeqft.nuclearity import (KernelOperator, _nystrom_matrix,
+                                 log_sqrt_factorial_series,
                                  log_xi_bound_minus, modular_trace_norm)
+
+from oracles import log_sqrt_factorial_full_sum, singular_values_dense
+
+# one operator of each kind with its mirror sign: J A J = sign * conj(A)
+MIRROR_CASES = [
+    (KernelOperator("general", (1.0, 0.6)), -1),
+    (KernelOperator("general", (0.3, -math.pi / 8)), -1),
+    (KernelOperator("modular", (0.7, math.pi / 8, 1.0)), +1),
+    (KernelOperator("modular", (2.0, math.pi / 4, 2.0)), +1),
+    (KernelOperator("bose_phi", (0.5, 1.0)), +1),
+    (KernelOperator("bose_pi", (1.5, 1.0)), +1),
+]
 
 
 def test_analytic_bound_formula_spot_value():
@@ -99,6 +114,28 @@ def test_series_against_brute_force():
     for x in (0.0, 0.3, 1.0, 2.7):
         assert abs(wq.sqrt_factorial_series(x) - brute(x)) < 1e-12 * brute(x)
     assert abs(wq.sqrt_factorial_series(1.0) - 3.4695) < 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.0, max_value=300.0, exclude_min=True))
+def test_series_matches_full_sum(x):
+    # tolerance fixed at 1e-14 relative before the first run
+    ref = log_sqrt_factorial_full_sum(x)
+    assert abs(log_sqrt_factorial_series(x) - ref) <= 1e-14 * max(abs(ref), 1.0)
+
+
+def test_series_memory_does_not_grow_with_argument():
+    # the full sum would hold ~1e10 floats at x = 1e5
+    x = 1e5
+    tracemalloc.start()
+    try:
+        lv = log_sqrt_factorial_series(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    n_peak = int(x * x)
+    assert n_peak * math.log(x) - 0.5 * math.lgamma(n_peak + 1) <= lv <= x * x
 
 
 def test_series_log_large_argument():
@@ -220,3 +257,29 @@ def test_singular_values_descending():
     sv = wq.singular_values(KernelOperator("bose_phi", (1.0, 1.0), nodes=100))
     assert np.all(np.diff(sv) <= 0)
     assert np.all(sv >= 0)
+
+
+@pytest.mark.parametrize("K, sign", MIRROR_CASES)
+def test_nystrom_matrix_is_centrohermitian(K, sign):
+    A = _nystrom_matrix(K)
+    assert np.array_equal(A[::-1, ::-1], sign * np.conj(A))
+
+
+@pytest.mark.parametrize("nodes", [100, 400, 800])
+@pytest.mark.parametrize("K", [K for K, _ in MIRROR_CASES])
+def test_singular_values_match_dense_complex_svd(K, nodes):
+    K = KernelOperator(K.kind, K.params, K.scale, nodes)
+    ref = singular_values_dense(K)
+    sv = wq.singular_values(K)
+    rows = int(np.count_nonzero(np.any(_nystrom_matrix(K) != 0, axis=1)))
+    assert sv.shape == (rows,) and rows < nodes
+    tol = 1e-14 * ref[0]
+    assert np.max(np.abs(sv - ref[:rows])) <= tol
+    assert np.all(ref[rows:] <= tol)
+
+
+def test_fully_underflowing_kernel_has_empty_spectrum():
+    K = KernelOperator("general", (1e4, 1.0))
+    assert wq.singular_values(K).shape == (0,)
+    r = wq.trace_norm_estimate(K, refine=True)
+    assert r.value == 0.0 and r.converged

@@ -58,3 +58,11 @@ def test_gauss_legendre_is_read_only():
     with pytest.raises(ValueError):
         w *= 2.0
     assert gauss_legendre(64)[0] is x
+
+
+@pytest.mark.parametrize("n", [100, 200, 400, 800, 1600])
+def test_gauss_legendre_is_mirror_symmetric(n):
+    # the real-reduced Nystrom SVD relies on this holding bit for bit
+    x, w = gauss_legendre(n)
+    assert np.array_equal(x[::-1], -x)
+    assert np.array_equal(w[::-1], w)
