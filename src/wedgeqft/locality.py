@@ -32,6 +32,9 @@ WINDOW_DEFAULT = 8.0
 ORDER_DEFAULT = 2048
 RESIDUAL_FLOOR = 1e-14
 TAIL_TOL = 1e-10
+# the tail estimate integrates |integrand| over |t| >= (1 - _TAIL_BAND) times
+# the window; the end nodes alone carry tiny Gauss-Legendre weights
+_TAIL_BAND = 0.05
 
 
 def _gl_line(window, order):
@@ -41,13 +44,18 @@ def _gl_line(window, order):
 
 def _line_integral(S, psi1_vals, psi2_vals, nodes, weights, thetas, flip,
                    shift=0.0):
-    """\\int psi1 psi2 prod_j S2(+-(t - theta_j)) dt along Im(t) = shift."""
+    """\\int psi1 psi2 prod_j S2(+-(t - theta_j)) dt along Im(t) = shift.
+
+    Also returns the tail estimate: the integral of |integrand| over the
+    outer ``_TAIL_BAND`` of the line at each end.
+    """
     F = psi1_vals * psi2_vals
     t = nodes + 1j * shift
     for tj in thetas:
         F = F * (evaluate(S, tj - t) if flip else evaluate(S, t - tj))
     value = complex(np.dot(F, weights))
-    tail = (abs(F[0]) + abs(F[-1])) * abs(weights[0])
+    edge = np.abs(nodes) >= (1 - _TAIL_BAND) * abs(nodes[0])
+    tail = float(np.dot(np.abs(F[edge]), weights[edge]))
     return value, tail
 
 
@@ -55,8 +63,8 @@ def eval_b(S, psi1, psi2, thetas, window=WINDOW_DEFAULT, order=ORDER_DEFAULT):
     """B_n = + \\int psi1(t) psi2(t) prod_j S2(t - theta_j) dt.
 
     ``psi1`` and ``psi2`` are callables on (complex) rapidity, typically
-    mass-shell restrictions.  Raises :class:`TailError` when the sampled
-    endpoint values indicate a non-negligible tail beyond the window.
+    mass-shell restrictions.  Raises :class:`TailError` when the integrand
+    over the outer band of the window is not negligible against B_n.
     """
     t, w = _gl_line(window, order)
     value, tail = _line_integral(S, psi1(t), psi2(t), t, w, thetas, flip=False)
@@ -204,26 +212,20 @@ class CommutatorReport:
     def passed(self):
         return self.residual <= self.tol
 
-    def as_dict(self):
-        return {"residual": self.residual, "tol": self.tol,
-                "passed": self.passed}
 
+def verify_operator_commutator(S, f, g, Phi, tol, check_support=True):
+    """|| [phi'(f), phi(g)] Phi || / ||Phi|| per unit field scale.
 
-def verify_operator_commutator(S, f, g, Phi, tol, check_support=True,
-                               normalize=True):
-    """|| [phi'(f), phi(g)] Phi || / ||Phi||, optionally per unit field scale.
-
-    With ``normalize`` the residual is divided by the product of the
-    natural operator scales ||f+|| + ||f-|| and ||g+|| + ||g-||, so a fixed
-    tolerance is meaningful regardless of test-function amplitudes.
+    The residual is divided by the product of the natural operator scales
+    ||f+|| + ||f-|| and ||g+|| + ||g-||, so a fixed tolerance is
+    meaningful regardless of test-function amplitudes.
     """
     if check_support:
         _require_wedge_separation(f, g)
     lhs = field_phi_prime(S, f, field_phi(S, g, Phi))
     rhs = field_phi(S, g, field_phi_prime(S, f, Phi))
     resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
-    if normalize:
-        scale = (field_norm_scale(S, f, Phi.grid)
-                 * field_norm_scale(S, g, Phi.grid))
-        resid /= max(scale, 1e-300)
+    scale = (field_norm_scale(S, f, Phi.grid)
+             * field_norm_scale(S, g, Phi.grid))
+    resid /= max(scale, 1e-300)
     return CommutatorReport(residual=float(resid), tol=float(tol))

@@ -12,7 +12,7 @@ zero set, sup norm on an enlarged strip, phase shift, pair-exchange phase
 products) feed the locality and nuclearity checks downstream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import cmath
 import math
@@ -47,7 +47,6 @@ class ScatteringFunction:
     a: float = 0.0
     zeros: tuple = ()
     mass: float = 1.0
-    pole_floor: float = field(default=POLE_FLOOR_DEFAULT, compare=False)
 
     def __post_init__(self):
         if self.epsilon not in (+1, -1):
@@ -70,8 +69,7 @@ def _mirror_partner(b):
     return complex(-b.real, b.imag)
 
 
-def build_model(epsilon, a=0.0, zeros=(), m=1.0, auto_mirror=True,
-                pole_floor=POLE_FLOOR_DEFAULT):
+def build_model(epsilon, a=0.0, zeros=(), m=1.0, auto_mirror=True):
     """Construct and validate a scattering-function model.
 
     Zeros with nonzero real part must come in mirror pairs (b, -conj(b));
@@ -89,33 +87,20 @@ def build_model(epsilon, a=0.0, zeros=(), m=1.0, auto_mirror=True,
 
     on_axis = [b for b in zs if b.real == 0.0]
     off_axis = [b for b in zs if b.real != 0.0]
-    if auto_mirror:
-        paired = []
-        pool = list(off_axis)
-        while pool:
-            b = pool.pop(0)
-            partner = _mirror_partner(b)
-            if partner in pool:
-                pool.remove(partner)
-                paired.extend([b, partner])
-            else:
-                paired.extend([b, partner])
-        off_axis = paired
-    else:
-        pool = list(off_axis)
-        while pool:
-            b = pool.pop(0)
-            partner = _mirror_partner(b)
-            if partner in pool:
-                pool.remove(partner)
-            else:
-                raise ModelError(
-                    f"zero {b} lacks its mirror partner {partner} and "
-                    "auto-mirroring is disabled")
+    paired = []
+    while off_axis:
+        b = off_axis.pop(0)
+        partner = _mirror_partner(b)
+        if partner in off_axis:
+            off_axis.remove(partner)
+        elif not auto_mirror:
+            raise ModelError(
+                f"zero {b} lacks its mirror partner {partner} and "
+                "auto-mirroring is disabled")
+        paired.extend([b, partner])
 
     return ScatteringFunction(epsilon=int(epsilon), a=float(a),
-                              zeros=tuple(on_axis + off_axis), mass=float(m),
-                              pole_floor=pole_floor)
+                              zeros=tuple(on_axis + paired), mass=float(m))
 
 
 def evaluate(S, zeta):
@@ -123,7 +108,7 @@ def evaluate(S, zeta):
 
     Uses the product representation; 2*pi*i periodicity is automatic.
     Raises :class:`PoleProximityError` when any |sinh(b_k) + sinh(z)|
-    falls below the model's pole floor.
+    falls below ``POLE_FLOOR_DEFAULT``.
     """
     z = np.asarray(zeta, dtype=complex)
     sz = np.sinh(z)
@@ -133,10 +118,10 @@ def evaluate(S, zeta):
     for b in S.zeros:
         sb = cmath.sinh(b)
         den = sb + sz
-        if np.min(np.abs(den)) < S.pole_floor:
+        if np.min(np.abs(den)) < POLE_FLOOR_DEFAULT:
             raise PoleProximityError(
-                f"evaluation within {S.pole_floor} of the pole mirroring "
-                f"zero {b}")
+                f"evaluation within {POLE_FLOOR_DEFAULT} of the pole "
+                f"mirroring zero {b}")
         out = out * (sb - sz) / den
     if np.isscalar(zeta) or np.ndim(zeta) == 0:
         return complex(out)
@@ -200,36 +185,28 @@ def kappa(S):
 _WINDOW = 30.0
 _MARGIN = 10.0
 _SAMPLES = 10_000
-_GOLDEN_TOL = 1e-12
-
-
-def _golden_max(f, lo, hi, tol=_GOLDEN_TOL):
-    """Golden-section maximization of a unimodal-enough 1-D function."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
 
 
 def strip_sup_norm(S, kap):
     """Sup of |S2| over the closed strip S(-kappa, pi+kappa).
 
-    By the boundary symmetries it suffices to maximize |S2(t - i*kappa)|
+    By the boundary symmetries it suffices to maximize f(t) = |S2(t - i*kappa)|
     over real t; |S2| <= 1 holds on the physical strip so the result is
     floored at 1.  The scan window reaches past every zero's real part,
     and the tail limit |S2| -> 1 covers |t| beyond it.
     Requires a = 0 (otherwise the sup is infinite) and kappa < kappa(S).
+
+    Which scan peaks are refined: the poles of S2 sit at -b_k, at least
+    d = kappa(S) - kappa below the scan line.  Near a peak f is dominated by
+    the nearest pole, f(t) ~ c / sqrt((t - t*)^2 + delta^2) with delta >= d,
+    so f''(t*) = -f(t*) / delta^2 and a sample within h/2 of t* (h the scan
+    spacing) lies at most f(t*) h^2 / (8 d^2) below the peak value.  A peak
+    can therefore hold the sup only if its highest sample is at least
+    (1 - h^2 / (8 d^2)) times the highest sample overall.  Each such local
+    maximum of the scan is refined by bounded Brent minimization of -f
+    between its two neighbouring samples, which bracket the peak.  Without
+    the threshold the roundoff ripple of the flat tails at |S2| ~ 1 would
+    add thousands of local maxima per scan.
     """
     kmax = kappa(S)
     if not (0.0 < kap < kmax):
@@ -240,19 +217,32 @@ def strip_sup_norm(S, kap):
             "requires a = 0")
     if not S.zeros:
         return 1.0
+    # imported on use: scipy.optimize adds about 0.25 s to `import wedgeqft`
+    from scipy.optimize import minimize_scalar
 
     window = max(_WINDOW, max(abs(b.real) for b in S.zeros) + _MARGIN)
     samples = math.ceil(_SAMPLES * window / _WINDOW)
-    t = np.linspace(-window, window, samples)
+    t, h = np.linspace(-window, window, samples, retstep=True)
     vals = np.abs(evaluate(S, t - 1j * kap))
-    i = int(np.argmax(vals))
-    lo = t[max(i - 1, 0)]
-    hi = t[min(i + 1, samples - 1)]
-    peak = _golden_max(lambda x: abs(evaluate(S, x - 1j * kap)), lo, hi)
-    return max(1.0, float(peak), float(vals[-1]), float(vals[0]))
+    top = float(np.max(vals))
+    floor = top * (1 - h * h / (8 * (kmax - kap) ** 2))
+    inner = vals[1:-1]
+    peaks = 1 + np.flatnonzero((inner > vals[:-2]) & (inner >= vals[2:])
+                               & (inner >= floor))
+    best = max(1.0, top)
+    for i in peaks:
+        # offsets from t[i], so Brent's relative tolerance sqrt(eps)|x|
+        # is set by the spacing, not by |t|; within 1e-12 of the peak f
+        # is flat to roundoff
+        res = minimize_scalar(
+            lambda u: -abs(evaluate(S, t[i] + u - 1j * kap)),
+            bounds=(t[i - 1] - t[i], t[i + 1] - t[i]), method="bounded",
+            options={"xatol": 1e-12})
+        best = max(best, -float(res.fun))
+    return best
 
 
-def phase_shift(S, zeta, _nsub=8):
+def phase_shift(S, zeta):
     """Phase shift delta with S2(z) = S2(0) exp(2*i*delta(z)), delta(0) = 0.
 
     The branch is tracked continuously along the path 0 -> Re(z) -> z;
@@ -276,7 +266,7 @@ def phase_shift(S, zeta, _nsub=8):
                        (complex(z.real, 0.0), z)):
         if end == start:
             continue
-        n = _nsub
+        n = 8
         while True:
             pts = start + (end - start) * np.arange(n + 1) / n
             vals = g(pts)

@@ -7,7 +7,7 @@ import wedgeqft as wq
 from wedgeqft import locality, suites
 from wedgeqft.cli import resolve_config_path
 from wedgeqft.config import load_config
-from wedgeqft.errors import WedgeQFTError
+from wedgeqft.errors import TailError, WedgeQFTError
 from wedgeqft.locality import RESIDUAL_FLOOR
 
 
@@ -65,6 +65,13 @@ def test_c_is_minus_conjugate_of_b(shg, wedge_pair, rng):
     C = wq.eval_c(shg, psi1, psi2, spect)
     B = wq.eval_b(shg, psi1c, psi2c, spect)
     assert abs(C + np.conj(B)) < 1e-13 * max(abs(B), 1e-10)
+
+
+def test_tail_in_outer_band_raises(free):
+    # large on [7.4, 7.98] inside the window 8, but zero at its end nodes
+    bump = wq.Bump1D(7.69, 0.29)
+    with pytest.raises(TailError):
+        wq.eval_b(free, bump, np.ones_like, [])
 
 
 def test_ising_n1_sign_flip(ising, wedge_pair):

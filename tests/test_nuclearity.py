@@ -196,6 +196,20 @@ def test_find_s_min_objective_monotone(resonance):
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
+def test_find_s_min_root_within_tol(resonance):
+    # the model of catalogue:resonance-pi4 at its kappa/2; the 400-node
+    # objective changes sign within tol of the returned root
+    kap, tol = math.pi / 8, 1e-4
+    smin = wq.find_s_min(resonance, kap, tol=tol)
+    sup = wq.strip_sup_norm(resonance, kap)
+
+    def objective(s):
+        return (wq.sigma(resonance, s, kap, sup_norm=sup)
+                * modular_trace_norm(resonance, s, kap).value - 1.0)
+
+    assert objective(smin - tol) > 0 > objective(smin + tol)
+
+
 def test_find_s_min_bad_bracket(resonance):
     with pytest.raises(ConvergenceError):
         wq.find_s_min(resonance, math.pi / 8, bracket=(20.0, 40.0), nodes=200)

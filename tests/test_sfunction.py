@@ -133,12 +133,19 @@ def test_strip_sup_norm_property_against_dense_scan(zeros):
     val = wq.strip_sup_norm(S, kap)
     reach = max(abs(re) for re, _ in zeros) + 15.0
     oracle = _dense_strip_max(S, kap, reach)
-    # The scan spacing is 0.006 and every peak has half-width >= kap >= 0.025
-    # (the distance to the nearest pole), so the scan may pick a peak that
-    # is up to h^2 / (8 kap^2) < 1% below the highest one; it never exceeds
-    # the true sup, which the 1e-3 oracle misses by < 2e-4.
-    assert val >= oracle * (1 - 1e-2)
+    # Every peak that may hold the sup is refined, so the result is the true
+    # sup to roundoff: never below a dense scan, and above the 1e-3 oracle
+    # by less than (1e-3)^2 / (8 kap^2) <= 2e-4 (half-width >= kap >= 0.025).
+    assert val >= oracle * (1 - 1e-12)
     assert val <= oracle * (1 + 1e-3)
+
+
+def test_strip_sup_norm_refines_every_candidate_peak():
+    # the highest scan sample sits on the peak at t ~ -8.872, but the sup,
+    # 3.016891, is at t ~ -4.927
+    S = wq.build_model(+1, zeros=[6.8078 + 0.27037j, 4.9271 + 0.065116j,
+                                  8.8718 + 0.065072j])
+    assert wq.strip_sup_norm(S, wq.kappa(S) / 2) >= 3.01689
 
 
 def test_strip_sup_norm_monotone_in_kappa(resonance):
