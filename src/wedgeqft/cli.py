@@ -142,10 +142,7 @@ def main(argv=None):
         # the report names the config as given, not where it is installed
         cfg = dataclasses.replace(cfg, path=args.config)
     except ConfigError as exc:
-        _fail_json({"kind": "config", "message": str(exc),
-                    "path": getattr(exc, "path", None),
-                    "line": getattr(exc, "line", None)})
-        return 2
+        return _config_error(exc)
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     names = suites_for_all(cfg) if args.suite == "all" else [args.suite]
@@ -153,6 +150,8 @@ def main(argv=None):
 
     try:
         results = run_suites(cfg, names, seed)
+    except ConfigError as exc:       # e.g. a test function the config lacks
+        return _config_error(exc)
     except ConvergenceError as exc:
         _fail_json({"kind": "nonconvergence", "message": str(exc)})
         return 3
@@ -219,6 +218,12 @@ def _nuclearity_report(cfg, results):
 
 def _fail_json(payload):
     print(json.dumps({"error": payload}, sort_keys=True), file=sys.stderr)
+
+
+def _config_error(exc):
+    _fail_json({"kind": "config", "message": str(exc), "path": exc.path,
+                "line": exc.line})
+    return 2
 
 
 if __name__ == "__main__":

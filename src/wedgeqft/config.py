@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fields import Bump2D, Gaussian2D
-from .fock import RapidityGrid
+from .fock import N_HARD_CAP, RapidityGrid
 from .locality import ORDER_DEFAULT, WINDOW_DEFAULT
 from .nuclearity import NODES_DEFAULT
 from .sfunction import ScatteringFunction, build_model
@@ -100,6 +100,16 @@ class _Section:
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {e.value!r}",
                               self.path, e.line)
+
+    def count(self, key, default, least=1, odd=False):
+        """An integer entry of at least ``least``, odd if ``odd``."""
+        value = self.intval(key, default)
+        if value < least or (odd and value % 2 == 0):
+            kind = "an odd integer" if odd else "an integer"
+            raise ConfigError(
+                f"{self.name}.{key} must be {kind} >= {least}, got {value}",
+                self.path, self.line_of(key))
+        return value
 
     def boolval(self, key, default=None):
         e = self._take(key)
@@ -331,10 +341,11 @@ def load_config(path, overrides=()):
 
     lsec = section("locality")
     locality = LocalitySettings(
-        grid_count=lsec.intval("grid_count", 81),
+        grid_count=lsec.count("grid_count", 81, least=3, odd=True),
         window=lsec.floatval("window", WINDOW_DEFAULT),
-        order=lsec.intval("order", ORDER_DEFAULT),
-        spectator_samples=lsec.intval("spectators", 3),
+        # the refinement study runs at order // 8
+        order=lsec.count("order", ORDER_DEFAULT, least=8),
+        spectator_samples=lsec.count("spectators", 3),
         contour_tol=lsec.floatval("contour_tol", 1e-6),
         operator_tol=lsec.floatval("operator_tol", 1e-4),
         f_name=lsec.string("f", "f"),
@@ -342,15 +353,20 @@ def load_config(path, overrides=()):
     lsec.reject_unknown()
 
     asec = section("algebra")
-    algebra = AlgebraSettings(tol=asec.floatval("tol", 1e-12),
-                              trials=asec.intval("trials", 5),
-                              dn_max=asec.intval("dn_max", 3),
-                              grid_count=asec.intval("grid_count", 21))
+    algebra = AlgebraSettings(
+        tol=asec.floatval("tol", 1e-12), trials=asec.count("trials", 5),
+        dn_max=asec.intval("dn_max", 3),
+        grid_count=asec.count("grid_count", 21, least=3, odd=True))
     asec.reject_unknown()
 
     ssec = section("smatrix")
-    n_values = tuple(int(x) for x in ssec.floats("n_values", (2, 3)))
-    smatrix = SMatrixSettings(trials=ssec.intval("trials", 5),
+    n_values = ssec.floats("n_values", (2.0, 3.0))
+    if not all(n.is_integer() and 1 <= n <= N_HARD_CAP for n in n_values):
+        raise ConfigError(
+            f"smatrix.n_values must be integers in 1..{N_HARD_CAP}, "
+            f"got {n_values}", path, ssec.line_of("n_values"))
+    n_values = tuple(int(n) for n in n_values)
+    smatrix = SMatrixSettings(trials=ssec.count("trials", 5),
                               n_values=n_values,
                               tol=ssec.floatval("tol", 1e-10))
     ssec.reject_unknown()
@@ -360,8 +376,8 @@ def load_config(path, overrides=()):
         kappa=nsec.floatval("kappa"),
         s_lo=nsec.floatval("s_min", 0.5),
         s_hi=nsec.floatval("s_max", 5.0),
-        steps=nsec.intval("steps", 5),
-        nodes=nsec.intval("nodes", NODES_DEFAULT))
+        steps=nsec.count("steps", 5),
+        nodes=nsec.count("nodes", NODES_DEFAULT))
     nsec.reject_unknown()
 
     psec = section("partition")
@@ -369,7 +385,7 @@ def load_config(path, overrides=()):
         r=psec.floatval("r", 1.0),
         beta_lo=psec.floatval("beta_min", 0.1),
         beta_hi=psec.floatval("beta_max", 1.0),
-        steps=psec.intval("steps", 6),
+        steps=psec.count("steps", 6),
         improved=psec.boolval("improved", False))
     psec.reject_unknown()
 

@@ -337,28 +337,11 @@ def _smeared_zdz(M, kernel, Phi):
     return FockVector(Phi.grid, comps)
 
 
-@dataclass(frozen=True)
-class ZFReport:
-    """Residuals of the two smeared exchange relations."""
-
-    annihilator_pair: float
-    mixed_pair: float
-    tol: float
-
-    @property
-    def passed(self):
-        return max(self.annihilator_pair, self.mixed_pair) <= self.tol
-
-    def as_dict(self):
-        return {"annihilator_pair": self.annihilator_pair,
-                "mixed_pair": self.mixed_pair, "tol": self.tol,
-                "passed": self.passed}
-
-
-def check_zf_relations(S, psi, phi, Phi, tol):
+def check_zf_relations(S, psi, phi, Phi):
     """Exchange-relation residuals on a twisted-symmetric vector.
 
-    Checks z(psi) z(phi) = (z x z)(S2^*(phi (x) psi)) and
+    Returns the relative residuals (annihilator pair, mixed pair) of
+    z(psi) z(phi) = (z x z)(S2^*(phi (x) psi)) and
     z(psi) z^dag(phi) = (z^dag x z)(S2(phi (x) psi)) + <conj(psi), phi> 1,
     with the two-slot kernels sampled at grid nodes.
     """
@@ -379,7 +362,7 @@ def check_zf_relations(S, psi, phi, Phi, tol):
     r2 = lhs2.sub(rhs2).norm()
 
     scale = max(Phi.norm(), 1e-300)
-    return ZFReport(r1 / scale, r2 / scale, tol)
+    return r1 / scale, r2 / scale
 
 
 def _adjacent_swap(n, k):

@@ -139,30 +139,18 @@ def _relative_sum(B, C):
 class ContourReport:
     """Residuals of the commutator-function cancellation for one model."""
 
-    n: int
     samples: tuple          # per-sample dicts for CSV emission
     max_relative: float
     shift_relative: float
-    tol: float
-
-    @property
-    def passed(self):
-        return max(self.max_relative, self.shift_relative) <= self.tol
-
-    def as_dict(self):
-        return {"n": self.n, "max_relative": self.max_relative,
-                "shift_relative": self.shift_relative, "tol": self.tol,
-                "passed": self.passed}
 
 
-def verify_contour_identity(S, f, g, n, spectators, tol,
-                            window=WINDOW_DEFAULT, order=ORDER_DEFAULT,
-                            check_support=True):
-    """Check B_n(f-, g+) + C_n(f+, g-) = 0 over spectator samples.
+def verify_contour_identity(S, f, g, n, spectators, window=WINDOW_DEFAULT,
+                            order=ORDER_DEFAULT, check_support=True):
+    """Relative residuals of B_n(f-, g+) + C_n(f+, g-) = 0 over spectators.
 
     ``f`` must be supported in the right wedge and ``g`` in the left one
-    (box-corner test).  Also verifies the shift mechanism: moving the B
-    integration line to Im(t) = pi reproduces the same value.
+    (box-corner test).  Also measures the shift mechanism: moving the B
+    integration line to Im(t) = pi must reproduce the same value.
     """
     if check_support:
         _require_wedge_separation(f, g)
@@ -187,8 +175,8 @@ def verify_contour_identity(S, f, g, n, spectators, tol,
     B0, Bs = b_on_line(0.0), b_on_line(math.pi)
     shift_rel = abs(Bs - B0) / max(abs(B0), RESIDUAL_FLOOR)
 
-    return ContourReport(n=n, samples=tuple(rows), max_relative=float(worst),
-                         shift_relative=float(shift_rel), tol=float(tol))
+    return ContourReport(samples=tuple(rows), max_relative=float(worst),
+                         shift_relative=float(shift_rel))
 
 
 def refinement_study(S, f, g, n, spectators, orders,
@@ -203,17 +191,7 @@ def refinement_study(S, f, g, n, spectators, orders,
     return out
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    residual: float
-    tol: float
-
-    @property
-    def passed(self):
-        return self.residual <= self.tol
-
-
-def verify_operator_commutator(S, f, g, Phi, tol, check_support=True):
+def verify_operator_commutator(S, f, g, Phi, check_support=True):
     """|| [phi'(f), phi(g)] Phi || / ||Phi|| per unit field scale.
 
     The residual is divided by the product of the natural operator scales
@@ -228,4 +206,4 @@ def verify_operator_commutator(S, f, g, Phi, tol, check_support=True):
     scale = (field_norm_scale(S, f, Phi.grid)
              * field_norm_scale(S, g, Phi.grid))
     resid /= max(scale, 1e-300)
-    return CommutatorReport(residual=float(resid), tol=float(tol))
+    return float(resid)

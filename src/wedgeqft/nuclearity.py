@@ -364,11 +364,10 @@ class FreeBoseResult:
     trace_phi: float
     trace_pi: float
 
-    def as_dict(self):
-        return {"value": self.value,
-                "max_singular_phi": self.max_singular_phi,
-                "max_singular_pi": self.max_singular_pi,
-                "trace_phi": self.trace_phi, "trace_pi": self.trace_pi}
+    @property
+    def exp_bound(self):
+        """exp(2 ||T_phi||_1 + 2 ||T_pi||_1), the Ising-Fermi bound."""
+        return math.exp(2 * (self.trace_phi + self.trace_pi))
 
 
 def free_bose_bound(s, mass=1.0, nodes=NODES_DEFAULT):
@@ -398,8 +397,7 @@ def free_bose_bound(s, mass=1.0, nodes=NODES_DEFAULT):
 
 def ising_fermi_bound(s, mass=1.0, nodes=NODES_DEFAULT):
     """exp(2 ||T_phi||_1 + 2 ||T_pi||_1): always finite."""
-    r = free_bose_bound(s, mass=mass, nodes=nodes)
-    return math.exp(2 * (r.trace_phi + r.trace_pi))
+    return free_bose_bound(s, mass=mass, nodes=nodes).exp_bound
 
 
 @dataclass(frozen=True)

@@ -194,26 +194,12 @@ def random_ordered_packet(grid, n, rng):
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    n: int
-    trials: int
     max_multiplier_residual: float
     max_overlap_residual: float
-    tol: float
     rows: tuple
 
-    @property
-    def passed(self):
-        return max(self.max_multiplier_residual,
-                   self.max_overlap_residual) <= self.tol
 
-    def as_dict(self):
-        return {"n": self.n, "trials": self.trials,
-                "max_multiplier_residual": self.max_multiplier_residual,
-                "max_overlap_residual": self.max_overlap_residual,
-                "tol": self.tol, "passed": self.passed}
-
-
-def recover_smatrix(S, grid, n, trials, tol, rng):
+def recover_smatrix(S, grid, n, trials, rng):
     """Two independent checks per random trial.
 
     (a) multiplier check: moller(out) * moller(in) against smatrix_factor
@@ -239,10 +225,9 @@ def recover_smatrix(S, grid, n, trials, tol, rng):
         worst_overlap = max(worst_overlap, r_overlap)
         rows.append({"trial": trial, "n": n, "multiplier_residual": r_mult,
                      "overlap_residual": r_overlap})
-    return RecoveryReport(n=n, trials=trials,
-                          max_multiplier_residual=float(worst_mult),
+    return RecoveryReport(max_multiplier_residual=float(worst_mult),
                           max_overlap_residual=float(worst_overlap),
-                          tol=float(tol), rows=tuple(rows))
+                          rows=tuple(rows))
 
 
 def two_particle_smatrix(S, psi1, psi2):

@@ -128,35 +128,12 @@ def evaluate(S, zeta):
     return out
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Max residuals of the defining identities on a real sample set."""
+def verify_relations(S, thetas):
+    """Max residuals of unitarity, symmetry, crossing and unimodularity.
 
-    unitarity: float
-    symmetry: float          # S2(-t) vs 1/S2(t)
-    crossing: float          # S2(t + i*pi) vs 1/S2(t)
-    modulus: float           # ||S2(t)| - 1|
-    tol: float
-
-    @property
-    def passed(self):
-        return max(self.unitarity, self.symmetry,
-                   self.crossing, self.modulus) <= self.tol
-
-    @property
-    def max_residual(self):
-        return max(self.unitarity, self.symmetry, self.crossing, self.modulus)
-
-    def as_dict(self):
-        return {"unitarity": self.unitarity, "symmetry": self.symmetry,
-                "crossing": self.crossing, "modulus": self.modulus,
-                "tol": self.tol, "passed": self.passed}
-
-
-def verify_relations(S, thetas, tol):
-    """Check unitarity, symmetry, crossing and unimodularity on samples."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    Symmetry compares S2(-t) with 1/S2(t), crossing S2(t + i*pi) with
+    1/S2(t), and the modulus residual is ||S2(t)| - 1|, all on ``thetas``.
+    """
     t = np.asarray(thetas, dtype=float)
     v = evaluate(S, t)
     inv = 1.0 / v
@@ -164,8 +141,8 @@ def verify_relations(S, thetas, tol):
     r_sym = np.max(np.abs(evaluate(S, -t) - inv))
     r_cross = np.max(np.abs(evaluate(S, t + 1j * math.pi) - inv))
     r_mod = np.max(np.abs(np.abs(v) - 1.0))
-    return RelationReport(float(r_uni), float(r_sym), float(r_cross),
-                          float(r_mod), float(tol))
+    return {"unitarity": float(r_uni), "symmetry": float(r_sym),
+            "crossing": float(r_cross), "modulus": float(r_mod)}
 
 
 def kappa(S):

@@ -83,6 +83,27 @@ def test_line_anchored_errors(tmp_path):
         load_config(str(p))
     assert err.value.line == 3
 
+    # counts that would run a suite on no evidence or crash inside it
+    for sec, entry in [("nuclearity", "steps = 0"), ("partition", "steps = 0"),
+                       ("algebra", "trials = 0"), ("smatrix", "trials = 0"),
+                       ("locality", "spectators = 0"),
+                       ("nuclearity", "nodes = 0"), ("locality", "order = 7"),
+                       ("smatrix", "n_values = 0"),
+                       ("smatrix", "n_values = 2, 2.5"),
+                       ("smatrix", "n_values = 7"),
+                       ("algebra", "grid_count = 20"),
+                       ("locality", "grid_count = 1")]:
+        p = write(tmp_path, f"[model]\nepsilon = -1\n[{sec}]\n{entry}\n",
+                  "bad6.cfg")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert err.value.line == 4, entry
+        assert str(p) in str(err.value)
+    # the smallest accepted values
+    p = write(tmp_path, "[model]\nepsilon = -1\n[locality]\norder = 8\n"
+                        "grid_count = 3\n[smatrix]\nn_values = 1, 6\n", "ok.cfg")
+    assert load_config(str(p)).smatrix.n_values == (1, 6)
+
 
 def test_unmatched_zero_rejected_without_mirroring(tmp_path):
     text = ("[model]\nepsilon = -1\nzeros = 0.4, 0.3\nauto_mirror = false\n")
@@ -211,6 +232,33 @@ def test_cli_corrupt_model_fails_suite(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_config_error_in_suite_exit2(tmp_path, capsys):
+    # the test-function lookup happens inside the suite
+    code = main(["verify-locality", "--config", "catalogue:free",
+                 "--out", str(tmp_path / "out"),
+                 "--tol-override", "locality.f=nope"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config"
+    assert "nope" in err["message"]
+
+
+def test_cli_shortcut_flags_reach_config(tmp_path, capsys):
+    code = main(["verify-scattering", "--config", "catalogue:free",
+                 "--out", str(tmp_path / "out"), "--s-min", "0.7",
+                 "--s-max", "3.5", "--steps", "4", "--beta", "0.25",
+                 "--r", "2"])
+    assert code == 0
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert {k: echo["nuclearity"][k] for k in ("s_min", "s_max", "steps")} == {
+        "s_min": "0.7", "s_max": "3.5", "steps": "4"}
+    # --beta pins the partition curve to one point, after --steps
+    assert {k: echo["partition"][k]
+            for k in ("beta_min", "beta_max", "steps", "r")} == {
+        "beta_min": "0.25", "beta_max": "0.25", "steps": "1", "r": "2.0"}
+    capsys.readouterr()
+
+
 def test_cli_nonconvergence_exit3(tmp_path, capsys, monkeypatch):
     from wedgeqft.suites import SUITES, Suite, SuiteResult
 
@@ -227,11 +275,17 @@ def test_cli_nonconvergence_exit3(tmp_path, capsys, monkeypatch):
 
 def test_cli_suite_failure_exit1(tmp_path, capsys, monkeypatch):
     # force a failure by tightening a tolerance far below reachable
-    p = write(tmp_path, MINIMAL.format(imag=math.pi / 3))
+    wedge_pair = ("[testfunction.f]\nkind = bump\nbox = -0.2, 0.22, 0.5, 1.2\n"
+                  "[testfunction.g]\nkind = bump\n"
+                  "box = -0.18, 0.21, -1.25, -0.55\n")
+    p = write(tmp_path, MINIMAL.format(imag=math.pi / 3) + wedge_pair)
     code = main(["verify-locality", "--config", str(p),
                  "--out", str(tmp_path / "out"),
                  "--tol-override", "locality.contour_tol=1e-30"])
     assert code == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    summary = report["suites"]["verify-locality"]["summary"]
+    assert summary["max_contour_relative"] > 1e-30
     capsys.readouterr()
 
 

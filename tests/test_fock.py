@@ -165,15 +165,15 @@ def test_zf_relations_all_models(catalogue, grid7, rng):
             Phi = wq.random_fock(S, grid7, 3, rng)
             psi = wq.random_wavefunction(grid7, rng)
             phi = wq.random_wavefunction(grid7, rng)
-            rep = wq.check_zf_relations(S, psi, phi, Phi, 1e-12)
-            assert rep.passed, rep.as_dict()
+            rep = wq.check_zf_relations(S, psi, phi, Phi)
+            assert max(rep) <= 1e-12, rep
 
 
 def test_zf_needs_two_levels(shg, grid7, rng):
     Phi = wq.random_fock(shg, grid7, 1, rng)
     psi = wq.random_wavefunction(grid7, rng)
     with pytest.raises(TruncationCapError):
-        wq.check_zf_relations(shg, psi, psi, Phi, 1e-12)
+        wq.check_zf_relations(shg, psi, psi, Phi)
 
 
 def test_adjointness(shg, grid7, rng):

@@ -90,24 +90,24 @@ def test_contour_identity_catalogue(catalogue, wedge_pair, rng):
     for S in catalogue.values():
         for n in (0, 2):
             spect = [tuple(rng.uniform(-2, 2, n)) for _ in range(2)]
-            rep = wq.verify_contour_identity(S, f, g, n, spect, tol=1e-6)
-            assert rep.passed, rep.as_dict()
+            rep = wq.verify_contour_identity(S, f, g, n, spect)
+            assert max(rep.max_relative, rep.shift_relative) <= 1e-6, rep
 
 
 def test_contour_identity_support_check(shg, wedge_pair):
     f, g = wedge_pair
     with pytest.raises(WedgeQFTError):
-        wq.verify_contour_identity(shg, g, f, 0, [()], tol=1e-6)
+        wq.verify_contour_identity(shg, g, f, 0, [()])
     gauss = wq.Gaussian2D.isotropic((0, 1.0), 0.3)
     with pytest.raises(WedgeQFTError):
-        wq.verify_contour_identity(shg, gauss, g, 0, [()], tol=1e-6)
+        wq.verify_contour_identity(shg, gauss, g, 0, [()])
 
 
 def test_contour_negative_control(shg, wedge_pair):
     f, g = wedge_pair
     # overlapping supports break the strip decay; the residual is O(1)
     g_bad = g.transformed((0.35, f.center[1] - g.center[1]))
-    rep = wq.verify_contour_identity(shg, f, g_bad, 1, [(0.4,)], tol=1e-6,
+    rep = wq.verify_contour_identity(shg, f, g_bad, 1, [(0.4,)],
                                      check_support=False)
     assert rep.max_relative > 1e-2
 
@@ -141,12 +141,12 @@ def test_line_restrictions_computed_once(monkeypatch, rng):
     f, g = cfg.testfunction(loc.f_name), cfg.testfunction(loc.g_name)
     before = len(calls)
     for S in (cfg.model, wq.build_model(-1)):
-        locality.verify_contour_identity(S, f, g, 1, [(0.3,)], tol=1e-6,
+        locality.verify_contour_identity(S, f, g, 1, [(0.3,)],
                                          window=loc.window, order=loc.order)
     assert len(calls) == before
 
     heavy = wq.build_model(+1, m=2.0)
-    locality.verify_contour_identity(heavy, f, g, 0, [()], tol=1e-6,
+    locality.verify_contour_identity(heavy, f, g, 0, [()],
                                      window=loc.window, order=loc.order)
     assert len(calls) > before
     assert set(calls[before:]) == {2.0}
@@ -167,30 +167,29 @@ def test_operator_commutator_and_halving(shg, wedge_pair, rng):
     f, g = wedge_pair
     grid = wq.RapidityGrid(6.0, 81)
     Phi = wq.random_fock(shg, grid, 1, rng)
-    rep = wq.verify_operator_commutator(shg, f, g, Phi, tol=1e-4)
-    assert rep.passed
+    resid = wq.verify_operator_commutator(shg, f, g, Phi)
+    assert resid <= 1e-4
     grid2 = wq.RapidityGrid(6.0, 161)
     Phi2 = wq.random_fock(shg, grid2, 1, rng)
-    rep2 = wq.verify_operator_commutator(shg, f, g, Phi2, tol=1e-4)
-    assert rep2.residual <= rep.residual / 2
+    resid2 = wq.verify_operator_commutator(shg, f, g, Phi2)
+    assert resid2 <= resid / 2
 
 
 def test_operator_commutator_free_field(free, wedge_pair, rng):
     f, g = wedge_pair
     grid = wq.RapidityGrid(6.0, 81)
     Phi = wq.random_fock(free, grid, 1, rng)
-    rep = wq.verify_operator_commutator(free, f, g, Phi, tol=1e-4)
-    assert rep.passed
+    assert wq.verify_operator_commutator(free, f, g, Phi) <= 1e-4
 
 
 def test_operator_commutator_support_check(shg, wedge_pair, rng):
     f, g = wedge_pair
     Phi = wq.random_fock(shg, wq.RapidityGrid(6.0, 21), 1, rng)
     with pytest.raises(WedgeQFTError):
-        wq.verify_operator_commutator(shg, g, f, Phi, tol=1e-4)
+        wq.verify_operator_commutator(shg, g, f, Phi)
     gauss = wq.Gaussian2D.isotropic((0, 1.0), 0.3)
     with pytest.raises(WedgeQFTError):
-        wq.verify_operator_commutator(shg, gauss, g, Phi, tol=1e-4)
+        wq.verify_operator_commutator(shg, gauss, g, Phi)
 
 
 def test_operator_commutator_wrong_wedges_generic_model(shg, wedge_pair, rng):
@@ -198,9 +197,8 @@ def test_operator_commutator_wrong_wedges_generic_model(shg, wedge_pair, rng):
     f, g = wedge_pair
     grid = wq.RapidityGrid(6.0, 81)
     Phi = wq.random_fock(shg, grid, 1, rng)
-    rep = wq.verify_operator_commutator(shg, g, f, Phi, tol=1e-4,
-                                        check_support=False)
-    assert rep.residual > 1e-2
+    resid = wq.verify_operator_commutator(shg, g, f, Phi, check_support=False)
+    assert resid > 1e-2
 
 
 def test_strip_bound_heuristic(shg, wedge_pair, rng):
