@@ -8,8 +8,6 @@ pass, 1 suite failure, 2 configuration error, 3 numerical non-convergence.
 
 import argparse
 import csv
-import dataclasses
-import importlib.resources
 import json
 import pathlib
 import sys
@@ -23,17 +21,6 @@ from .errors import ConfigError, ConvergenceError, WedgeQFTError
 from .suites import SUITES, suites_for_all
 
 _SUITE_INDEX = {name: i for i, name in enumerate(SUITES)}
-
-
-def resolve_config_path(arg):
-    """A plain path, or ``catalogue:NAME`` for a shipped model config."""
-    if arg.startswith("catalogue:"):
-        name = arg.split(":", 1)[1]
-        ref = importlib.resources.files("wedgeqft") / "catalogue" / f"{name}.cfg"
-        if not ref.is_file():
-            raise ConfigError(f"no catalogue config named {name!r}")
-        return str(ref)
-    return arg
 
 
 def _fmt(value):
@@ -138,15 +125,13 @@ def main(argv=None):
     if args.r is not None:
         overrides.append(f"partition.r={args.r}")
     try:
-        cfg = load_config(resolve_config_path(args.config), overrides=overrides)
-        # the report names the config as given, not where it is installed
-        cfg = dataclasses.replace(cfg, path=args.config)
+        cfg = load_config(args.config, overrides=overrides)
     except ConfigError as exc:
         return _config_error(exc)
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     names = suites_for_all(cfg) if args.suite == "all" else [args.suite]
-    out_format = args.format or cfg.out_format
+    out_format = args.format or cfg.output.format
 
     try:
         results = run_suites(cfg, names, seed)

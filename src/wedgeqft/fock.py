@@ -197,12 +197,13 @@ def _check_tensor_budget(count, n):
 
 
 def _pair_factor(M, n, axis_a, axis_b):
-    """Broadcast view of M placing its rows on axis_a and columns on axis_b."""
+    """Broadcast view of M placing its rows on axis_a and columns on axis_b.
+
+    Requires axis_a > axis_b, as every caller has it.
+    """
     shape = [1] * n
     shape[axis_a] = M.shape[0]
     shape[axis_b] = M.shape[1]
-    if axis_a < axis_b:
-        return M.reshape(shape)
     return M.T.reshape(shape)
 
 
@@ -378,11 +379,14 @@ def dn_law_residuals(S, grid, n, trials, rng):
     On random n-particle tensors: the adjacent transpositions act as
     involutions and isometries, distant ones commute, neighbouring ones
     satisfy the braid relation, and the symmetrizer is a self-adjoint
-    projector.
+    projector.  A law gets a key only when n is large enough to sample it:
+    the braid relation needs n >= 3, the commuting one n >= 4.
     """
-    worst = {"involution": 0.0, "commuting": 0.0, "braid": 0.0,
-             "unitary": 0.0, "projector": 0.0, "selfadjoint": 0.0}
+    worst = {}
     N = grid.count
+
+    def record(law, residual):
+        worst[law] = max(worst.get(law, 0.0), residual)
 
     def rand():
         return rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
@@ -401,26 +405,25 @@ def dn_law_residuals(S, grid, n, trials, rng):
         for k in range(n - 1):
             tau = _adjacent_swap(n, k)
             ff = apply_dn(S, tau, apply_dn(S, tau, f, grid), grid)
-            worst["involution"] = max(worst["involution"], wnorm(ff - f) / scale)
-            worst["unitary"] = max(worst["unitary"], abs(
+            record("involution", wnorm(ff - f) / scale)
+            record("unitary", abs(
                 wnorm(apply_dn(S, tau, f, grid)) - wnorm(f)) / scale)
         for j in range(n - 1):
             for k in range(j + 2, n - 1):
                 tj, tk = _adjacent_swap(n, j), _adjacent_swap(n, k)
                 ab = chain((tk, tj), f)
                 ba = chain((tj, tk), f)
-                worst["commuting"] = max(worst["commuting"], wnorm(ab - ba) / scale)
+                record("commuting", wnorm(ab - ba) / scale)
         for k in range(n - 2):
             ta, tb = _adjacent_swap(n, k), _adjacent_swap(n, k + 1)
             lhs = chain((ta, tb, ta), f)
             rhs = chain((tb, ta, tb), f)
-            worst["braid"] = max(worst["braid"], wnorm(lhs - rhs) / scale)
+            record("braid", wnorm(lhs - rhs) / scale)
         g = rand()
         Pf = symmetrize(S, f, grid)
         Pg = symmetrize(S, g, grid)
-        worst["projector"] = max(worst["projector"],
-                                 wnorm(symmetrize(S, Pf, grid) - Pf) / scale)
-        worst["selfadjoint"] = max(worst["selfadjoint"], abs(
+        record("projector", wnorm(symmetrize(S, Pf, grid) - Pf) / scale)
+        record("selfadjoint", abs(
             _weighted_inner(grid, Pf, g)
             - _weighted_inner(grid, f, Pg)) / (scale * max(wnorm(g), 1e-300)))
     return worst

@@ -109,14 +109,14 @@ def verify_algebra(cfg, rng):
 def verify_locality(cfg, rng):
     S = cfg.model
     loc = cfg.locality
-    f = cfg.testfunction(loc.f_name)
-    g = cfg.testfunction(loc.g_name)
+    f = cfg.testfunction(loc.f)
+    g = cfg.testfunction(loc.g)
     rows = []
     worst_contour = 0.0
     worst_shift = 0.0
     for n in range(4):
         spect = [tuple(rng.uniform(-2.0, 2.0, n))
-                 for _ in range(loc.spectator_samples)]
+                 for _ in range(loc.spectators)]
         rep = locality.verify_contour_identity(
             S, f, g, n, spect, window=loc.window, order=loc.order)
         worst_contour = max(worst_contour, rep.max_relative)
@@ -203,7 +203,7 @@ def nuclearity_curve(cfg, rng):
     S = cfg.model
     kap = _nuclearity_kappa(cfg)
     sup = sfunction.strip_sup_norm(S, kap)
-    svals = np.linspace(cfg.nuclearity.s_lo, cfg.nuclearity.s_hi,
+    svals = np.linspace(cfg.nuclearity.s_min, cfg.nuclearity.s_max,
                         cfg.nuclearity.steps)
     rows = []
     nonconv = False
@@ -253,7 +253,7 @@ def free_bose(cfg, rng):
     S = cfg.model
     rows = []
     ok = True
-    for s in np.linspace(cfg.nuclearity.s_lo, cfg.nuclearity.s_hi,
+    for s in np.linspace(cfg.nuclearity.s_min, cfg.nuclearity.s_max,
                          cfg.nuclearity.steps):
         r = nuclearity.free_bose_bound(float(s), mass=S.mass,
                                        nodes=cfg.nuclearity.nodes)
@@ -274,7 +274,7 @@ def ising_fermi(cfg, rng):
     S = cfg.model
     rows = []
     ok = True
-    for s in np.linspace(cfg.nuclearity.s_lo, cfg.nuclearity.s_hi,
+    for s in np.linspace(cfg.nuclearity.s_min, cfg.nuclearity.s_max,
                          cfg.nuclearity.steps):
         # one pair of Bose spectra gives both bounds
         det = nuclearity.free_bose_bound(float(s), mass=S.mass,
@@ -293,7 +293,7 @@ def partition(cfg, rng):
     kap = _nuclearity_kappa(cfg)
     sup = sfunction.strip_sup_norm(S, kap)
     p = cfg.partition
-    betas = np.linspace(p.beta_lo, p.beta_hi, p.steps)
+    betas = np.linspace(p.beta_min, p.beta_max, p.steps)
     rows = []
     for beta in betas:
         r = nuclearity.partition_bound(S, float(beta), p.r, kap,

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import wedgeqft as wq
-from wedgeqft.cli import main, resolve_config_path
+from wedgeqft.cli import main
 from wedgeqft.config import load_config
 from wedgeqft.errors import ConfigError
 
@@ -29,16 +29,16 @@ def write(tmp_path, text, name="model.cfg"):
 
 def test_load_catalogue_configs():
     for name in ("free", "ising", "shg-b050", "resonance-pi4"):
-        cfg = load_config(resolve_config_path(f"catalogue:{name}"))
+        cfg = load_config(f"catalogue:{name}")
         assert cfg.model_name in (name, name.replace(".cfg", ""))
         assert cfg.grid.count >= 7
 
 
 def test_catalogue_models_match_expectations():
-    shg = load_config(resolve_config_path("catalogue:shg-b050")).model
+    shg = load_config("catalogue:shg-b050").model
     assert shg.epsilon == -1
     assert abs(shg.zeros[0] - 1j * math.pi / 2) < 1e-12
-    res = load_config(resolve_config_path("catalogue:resonance-pi4")).model
+    res = load_config("catalogue:resonance-pi4").model
     assert res.epsilon == -1                     # fermionic subfamily
     assert abs(wq.kappa(res) - math.pi / 4) < 1e-12
 
@@ -83,6 +83,15 @@ def test_line_anchored_errors(tmp_path):
         load_config(str(p))
     assert err.value.line == 3
 
+    # malformed lines
+    for bad, line in [("epsilon = -1\n[model]\n", 1),
+                      ("[model]\nepsilon = -1\nno equals sign\n", 3),
+                      ("[model]\nepsilon = -1\nepsilon = 1\n", 3)]:
+        p = write(tmp_path, bad, "bad7.cfg")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert err.value.line == line, bad
+
     # counts that would run a suite on no evidence or crash inside it
     for sec, entry in [("nuclearity", "steps = 0"), ("partition", "steps = 0"),
                        ("algebra", "trials = 0"), ("smatrix", "trials = 0"),
@@ -92,6 +101,8 @@ def test_line_anchored_errors(tmp_path):
                        ("smatrix", "n_values = 2, 2.5"),
                        ("smatrix", "n_values = 7"),
                        ("algebra", "grid_count = 20"),
+                       ("algebra", "dn_max = 1"),
+                       ("partition", "beta_min = -1"),
                        ("locality", "grid_count = 1")]:
         p = write(tmp_path, f"[model]\nepsilon = -1\n[{sec}]\n{entry}\n",
                   "bad6.cfg")
@@ -124,6 +135,15 @@ def test_overrides(tmp_path):
     assert cfg.grid.count == 9
     with pytest.raises(ConfigError):
         load_config(str(p), overrides=["no_dots"])
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(str(write(tmp_path, block)))
+    assert set(cfg.testfunctions) == {"f", "g", "cov"}
+    assert cfg.locality.f == "f" and cfg.nuclearity.kappa is None
 
 
 def test_cli_schema(capsys):
@@ -168,7 +188,7 @@ def test_schema_documents_emitted_columns(name, model, capsys):
     from wedgeqft.cli import run_suites
     assert main([name, "--schema"]) == 0
     documented = set(json.loads(capsys.readouterr().out)[name])
-    cfg = load_config(resolve_config_path(f"catalogue:{model}"),
+    cfg = load_config(f"catalogue:{model}",
                       overrides=SCHEMA_OVERRIDES)
     if cfg.model.epsilon == +1:
         documented.discard("log_bound_minus")
@@ -179,11 +199,13 @@ def test_schema_documents_emitted_columns(name, model, capsys):
 
 
 def test_cli_missing_config_exit2(tmp_path, capsys):
-    code = main(["verify-scattering", "--config", str(tmp_path / "nope.cfg"),
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert json.loads(err.strip())["error"]["kind"] == "config"
+    p = write(tmp_path, "[model]\nname = no-epsilon\n")
+    for config in (str(tmp_path / "nope.cfg"), "catalogue:nope", str(p)):
+        code = main(["verify-scattering", "--config", config,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert json.loads(err.strip())["error"]["kind"] == "config"
 
 
 def test_cli_pass_and_artifacts(tmp_path, capsys):
@@ -241,6 +263,29 @@ def test_cli_config_error_in_suite_exit2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config"
     assert "nope" in err["message"]
+
+
+def test_cli_override_errors_exit2(tmp_path, capsys):
+    # a misspelt section or key is an error, not a silent default
+    for item in ("mystery.x=1", "nuclarity.steps=0", "nuclearity.stepz=1",
+                 "steps=1"):
+        code = main(["verify-scattering", "--config", "catalogue:free",
+                     "--out", str(tmp_path / "out"), "--tol-override", item])
+        assert code == 2, item
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert f"--tol-override {item}" in err["message"], err
+    assert not (tmp_path / "out").exists()
+    # an override error names the override and the config as given
+    code = main(["nuclearity-curve", "--config", "catalogue:shg-b050",
+                 "--out", str(tmp_path / "out"),
+                 "--tol-override", "nuclearity.steps=0"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["line"] is None
+    assert err["path"] == "catalogue:shg-b050"
+    assert err["message"].startswith(
+        "catalogue:shg-b050: --tol-override nuclearity.steps=0: "
+        "nuclearity.steps must be an integer >= 1, got '0'"), err
 
 
 def test_cli_shortcut_flags_reach_config(tmp_path, capsys):

@@ -10,7 +10,8 @@ import wedgeqft as wq
 from oracles import create_via_projection, symmetrize_by_permutations
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
-from wedgeqft.fock import FockVector, compose, _weighted_inner
+from wedgeqft.fock import (FockVector, compose, dn_law_residuals,
+                           _weighted_inner)
 from wedgeqft.sfunction import evaluate
 
 HALF_PI = math.pi / 2
@@ -75,6 +76,16 @@ def test_apply_dn_homomorphism(shg, rng):
             lhs = wq.apply_dn(shg, compose(p, q), f, grid)
             rhs = wq.apply_dn(shg, p, wq.apply_dn(shg, q, f, grid), grid)
             assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_dn_laws_sampled_only_where_they_apply(shg, rng):
+    grid = wq.RapidityGrid(2.0, 5)
+    common = {"involution", "unitary", "projector", "selfadjoint"}
+    assert set(dn_law_residuals(shg, grid, 2, 1, rng)) == common
+    assert set(dn_law_residuals(shg, grid, 3, 1, rng)) == common | {"braid"}
+    res = dn_law_residuals(shg, grid, 4, 2, rng)
+    assert set(res) == common | {"braid", "commuting"}
+    assert max(res.values()) <= 1e-12, res
 
 
 def test_apply_dn_rank_mismatch(shg, grid7, rng):

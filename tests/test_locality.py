@@ -5,7 +5,6 @@ import pytest
 
 import wedgeqft as wq
 from wedgeqft import locality, suites
-from wedgeqft.cli import resolve_config_path
 from wedgeqft.config import load_config
 from wedgeqft.errors import TailError, WedgeQFTError
 from wedgeqft.locality import RESIDUAL_FLOOR
@@ -120,7 +119,7 @@ def test_refinement_ratios(shg, wedge_pair):
 
 
 def test_line_restrictions_computed_once(monkeypatch, rng):
-    cfg = load_config(resolve_config_path("catalogue:free"),
+    cfg = load_config("catalogue:free",
                       overrides=["locality.order=256", "locality.grid_count=11",
                                  "locality.spectators=1"])
     calls = []
@@ -138,7 +137,7 @@ def test_line_restrictions_computed_once(monkeypatch, rng):
 
     # the values depend on the mass only, not on S2 or the spectators
     loc = cfg.locality
-    f, g = cfg.testfunction(loc.f_name), cfg.testfunction(loc.g_name)
+    f, g = cfg.testfunction(loc.f), cfg.testfunction(loc.g)
     before = len(calls)
     for S in (cfg.model, wq.build_model(-1)):
         locality.verify_contour_identity(S, f, g, 1, [(0.3,)],

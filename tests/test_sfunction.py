@@ -74,6 +74,19 @@ def test_relations_pass_for_catalogue(catalogue):
         assert max(rep.values()) <= 1e-12, rep
 
 
+@pytest.mark.parametrize("a", [0.3, 1.0])
+def test_relations_hold_with_exponential_rate(a):
+    S = wq.build_model(+1, a=a, zeros=[0.4 + 0.3j, 1.1j])
+    rep = wq.verify_relations(S, np.linspace(-8, 8, 201))
+    assert max(rep.values()) <= 1e-12, rep
+
+
+def test_exponential_rate_factor():
+    t = np.linspace(-3, 3, 61)
+    assert_allclose(wq.evaluate(wq.build_model(+1, a=1.0), t),
+                    np.exp(1j * np.sinh(t)), rtol=1e-15, atol=0)
+
+
 def test_relations_fail_for_unpaired_zero():
     # the product form keeps S(t + i pi) = 1/S(t) identically, so the
     # corruption surfaces through the unitarity/modulus links of the chain
