@@ -14,9 +14,8 @@ from .errors import (ConfigError, ConvergenceError, GridError, ModelError,
                      WedgeQFTError)
 from .fock import (FockVector, PoincareElement, RapidityGrid, WaveFunction1,
                    annihilate, apply_dn, check_zf_relations, create,
-                   load_fock_vector, modular_boost, poincare_apply,
-                   random_fock, random_wavefunction, reflect_gamma,
-                   reflect_j, save_fock_vector, symmetrize)
+                   modular_boost, poincare_apply, random_fock,
+                   random_wavefunction, reflect_gamma, reflect_j, symmetrize)
 from .fields import (Bump1D, Bump2D, Gaussian1D, Gaussian2D, field_phi,
                      field_phi_prime, in_wedge, mass_shell,
                      nonlocality_witness, sample_mass_shell, timezero_field)
@@ -26,10 +25,10 @@ from .nuclearity import (KernelOperator, analytic_trace_bound, find_s_min,
                          free_bose_bound, ising_fermi_bound,
                          modular_trace_norm, partition_bound, sigma,
                          singular_values, sqrt_factorial_series,
-                         trace_norm_estimate, xi_bound_distal, xi_bound_minus)
+                         trace_norm_estimate, xi_bound_distal)
 from .scattering import (OrderedWavePacket, in_state, moller_multiplier,
                          out_state, random_ordered_packet, recover_smatrix,
-                         smatrix_factor, two_particle_smatrix)
+                         smatrix_factor)
 from .sfunction import (ScatteringFunction, build_model, evaluate, kappa,
                         phase_shift, strip_sup_norm, verify_relations, y_phase)
 

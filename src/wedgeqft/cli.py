@@ -110,20 +110,21 @@ def main(argv=None):
     if args.config is None:
         _fail_json({"kind": "config", "message": "--config is required"})
         return 2
+    # a shortcut flag stands for overrides whose errors name the flag;
+    # --beta comes after --steps, so it pins the partition curve to one point
     overrides = list(args.tol_override)
-    if args.s_min is not None:
-        overrides.append(f"nuclearity.s_min={args.s_min}")
-    if args.s_max is not None:
-        overrides.append(f"nuclearity.s_max={args.s_max}")
-    if args.steps is not None:
-        overrides.append(f"nuclearity.steps={args.steps}")
-        overrides.append(f"partition.steps={args.steps}")
-    if args.beta is not None:
-        overrides.append(f"partition.beta_min={args.beta}")
-        overrides.append(f"partition.beta_max={args.beta}")
-        overrides.append("partition.steps=1")
-    if args.r is not None:
-        overrides.append(f"partition.r={args.r}")
+    for flag, value, settings in (
+            ("--s-min", args.s_min, {"nuclearity.s_min": args.s_min}),
+            ("--s-max", args.s_max, {"nuclearity.s_max": args.s_max}),
+            ("--steps", args.steps, {"nuclearity.steps": args.steps,
+                                     "partition.steps": args.steps}),
+            ("--beta", args.beta, {"partition.beta_min": args.beta,
+                                   "partition.beta_max": args.beta,
+                                   "partition.steps": 1}),
+            ("--r", args.r, {"partition.r": args.r})):
+        if value is not None:
+            overrides += [(f"{key}={v}", f"{flag} {value}")
+                          for key, v in settings.items()]
     try:
         cfg = load_config(args.config, overrides=overrides)
     except ConfigError as exc:

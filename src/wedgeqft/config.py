@@ -4,7 +4,8 @@ The format is INI-flavoured: ``[section]`` headers, ``key = value`` lines,
 ``#`` or ``;`` comments.  :data:`SCHEMA` declares every section and key
 with its parser and default; :func:`load_config` checks a file against it.
 Unknown sections or keys are rejected, and every failure points at the
-file and line, or at the ``--tol-override`` entry, that caused it.
+file and line, or at the ``--tol-override`` or shortcut flag, that
+caused it.
 """
 
 from collections import namedtuple
@@ -13,11 +14,11 @@ import importlib.resources
 from types import SimpleNamespace
 
 from .errors import ConfigError, ModelError
-from .fields import Bump2D, Gaussian2D
+from .fields import Bump2D
 from .fock import N_HARD_CAP, RapidityGrid
 from .locality import ORDER_DEFAULT, WINDOW_DEFAULT
 from .nuclearity import NODES_DEFAULT
-from .sfunction import ScatteringFunction, build_model
+from .sfunction import ScatteringFunction, build_model, kappa
 
 DEFAULT_SEED = 0xD15EA5E
 
@@ -76,11 +77,9 @@ BOOLEAN = _Parser("a boolean", lambda t: _BOOLS.get(t.lower()),
                   lambda v: v is not None)
 TEXT = _Parser("text", str)
 COUNT = _integer(1)
-PAIR = _Parser("two numbers", _floats, lambda v: len(v) == 2)
 
-# section -> key -> (parser, default).  The [testfunction.NAME] blocks are
-# the exception: their ``kind`` key picks one entry of SCHEMA["testfunction"],
-# whose constructor is called with the block's other keys.
+# section -> key -> (parser, default); each [testfunction.NAME] block is
+# checked against SCHEMA["testfunction"] and built as a Bump2D
 SCHEMA = {
     "model": {
         "name": (TEXT, "model"),
@@ -139,31 +138,23 @@ SCHEMA = {
     },
     "output": {"format": (_choice("json", "csv"), "json")},
     "testfunction": {
-        "gaussian": (Gaussian2D.isotropic, {
-            "center": (PAIR, (0.0, 0.0)),
-            "sigma": (POSITIVE, 1.0),
-            "q": (PAIR, (0.0, 0.0)),
-            "amplitude": (NUMBER, 1.0),
-        }),
-        "bump": (Bump2D, {
-            "box": (_Parser("four numbers a0,b0,a1,b1 with b0 > a0 and "
-                            "b1 > a1", _floats, lambda v: len(v) == 4
-                            and v[1] > v[0] and v[3] > v[2]), REQUIRED),
-            "amplitude": (NUMBER, 1.0),
-            "order": (COUNT, 64),
-        }),
+        "kind": (_choice("bump"), REQUIRED),
+        "box": (_Parser("four numbers a0,b0,a1,b1 with b0 > a0 and b1 > a1",
+                        _floats, lambda v: len(v) == 4 and v[1] > v[0]
+                        and v[3] > v[2]), REQUIRED),
+        "amplitude": (NUMBER, 1.0),
     },
 }
 
 
-# a raw value with its anchor: a file line, or the override it came from
-_Entry = namedtuple("_Entry", "value line override", defaults=(None,))
+# a raw value with its anchor: a file line, or the command-line text it came from
+_Entry = namedtuple("_Entry", "value line source", defaults=(None,))
 
 
 def _error(path, entry, message):
-    """A ConfigError anchored at the line, or the override, of ``entry``."""
-    if entry.override is not None:
-        return ConfigError(f"--tol-override {entry.override}: {message}", path)
+    """A ConfigError anchored at the line, or the command line, of ``entry``."""
+    if entry.source is not None:
+        return ConfigError(f"{entry.source}: {message}", path)
     return ConfigError(message, path, entry.line)
 
 
@@ -215,20 +206,23 @@ def _parse_sections(path):
 
 
 def _parse(path, section, schema, entries):
-    """{key: value} for every key of ``schema``; no other key is allowed."""
-    for key, entry in entries.items():
-        if key not in schema:
-            raise _error(path, entry, f"unknown key {key!r} in [{section}]")
+    """{key: value} for every key of ``schema``; no other key is allowed.
+    Values are checked first (``kind`` before a block's other keys), then
+    unknown keys, then missing required ones (a misspelt key is unknown)."""
     values = {}
     for key, (parse, default) in schema.items():
         entry = entries.get(key)
-        if entry is None and default is REQUIRED:
-            raise ConfigError(f"{section}.{key} is required", path)
         try:
             values[key] = default if entry is None else parse(entry.value)
         except ValueError:
             raise _error(path, entry, f"{section}.{key} must be {parse.what}, "
                                       f"got {entry.value!r}")
+    for key, entry in entries.items():
+        if key not in schema:
+            raise _error(path, entry, f"unknown key {key!r} in [{section}]")
+    for key, value in values.items():
+        if value is REQUIRED:
+            raise ConfigError(f"{section}.{key} is required", path)
     return values
 
 
@@ -248,32 +242,41 @@ class RunConfig(SimpleNamespace):
 
 def load_config(path, overrides=()):
     """Parse ``path`` or ``catalogue:NAME``, apply ``section.key=value``
-    overrides, and check every entry against :data:`SCHEMA`."""
+    overrides, and check every entry against :data:`SCHEMA`.  An override
+    is that text, or a pair (text, source) whose errors name ``source``."""
     path = str(path)
     raw = _parse_sections(path)
     for item in overrides:
+        item, source = ((item, f"--tol-override {item}")
+                        if isinstance(item, str) else item)
         dotted, eq, value = item.partition("=")
         section, dot, key = dotted.strip().lower().rpartition(".")
-        entry = _Entry(value.strip(), None, item)
+        entry = _Entry(value.strip(), None, source)
         if not (eq and dot):
             raise _error(path, entry, "expected section.key=value")
         if not _known(section):
             raise _error(path, entry, f"unknown section [{section}]")
         raw.setdefault(section, {})[key] = entry
 
-    kinds = SCHEMA["testfunction"]
-    head = {"kind": (_choice(*kinds), REQUIRED)}
     settings = {name: _parse(path, name, keys, raw.get(name, {}))
                 for name, keys in SCHEMA.items() if name != "testfunction"}
     testfunctions = {}
     for section, entries in raw.items():
         if section.startswith("testfunction."):
-            kind = _parse(path, section, head, {
-                k: e for k, e in entries.items() if k in head})["kind"]
-            build, keys = kinds[kind]
-            testfunctions[section.partition(".")[2]] = build(**_parse(
-                path, section, keys,
-                {k: e for k, e in entries.items() if k not in head}))
+            values = _parse(path, section, SCHEMA["testfunction"], entries)
+            testfunctions[section.partition(".")[2]] = Bump2D(
+                values["box"], values["amplitude"])
+    # a curve of more than one step needs a non-empty range; the error
+    # names the entry applied last: the command line, else the last line
+    for name, lo, hi in (("nuclearity", "s_min", "s_max"),
+                         ("partition", "beta_min", "beta_max")):
+        values, given = settings[name], raw.get(name, {})
+        if values["steps"] > 1 and values[lo] >= values[hi]:
+            last = max(filter(None, map(given.get, (lo, hi, "steps"))),
+                       key=lambda e: (e.source is not None, e.line or 0))
+            raise _error(path, last, f"{name}.{lo} must be below {name}.{hi} "
+                         f"when {name}.steps > 1, got {values[lo]} and "
+                         f"{values[hi]}")
 
     m, grid = settings["model"], settings["grid"]
     try:
@@ -285,6 +288,11 @@ def load_config(path, overrides=()):
                                 m=m["mass"], auto_mirror=m["auto_mirror"])
     except ModelError as exc:
         raise _error(path, raw["model"]["zeros"], str(exc))
+    kap, margin = settings["nuclearity"]["kappa"], kappa(model)
+    if kap is not None and not 0.0 < kap < margin:
+        raise _error(path, raw["nuclearity"]["kappa"],
+                     f"nuclearity.kappa must lie in (0, {margin}), the "
+                     f"model's analyticity margin, got {kap}")
 
     echo = {s: {k: e.value for k, e in entries.items()}
             for s, entries in raw.items()}

@@ -24,6 +24,7 @@ from .quadrature import gauss_legendre
 from .sfunction import node_matrix
 
 EXP_BUDGET = 700.0  # |Im(p.x)| cap before exp() leaves double range
+ORDER_FLOOR = 64     # smallest bump quadrature order
 ORDER_CAP = 1 << 14  # largest bump quadrature order
 
 
@@ -36,8 +37,8 @@ def _boost_matrix(lam):
 class Gaussian2D:
     """amp * exp(-(x-c)^T Q (x-c) / 2 + i k.(x-c)) with Euclidean pairing k.x.
 
-    ``quad`` is a symmetric positive-definite 2x2 array; the isotropic case
-    quad = I/sigma^2 is what the config format exposes.  The family is
+    ``quad`` is a symmetric positive-definite 2x2 array; :meth:`isotropic`
+    builds the case quad = I/sigma^2.  The family is
     closed under Poincare transforms, time reflection and conjugation,
     which keeps covariance checks free of quadrature error.
     """
@@ -113,21 +114,22 @@ class Gaussian2D:
     support_box = None
 
 
-def _auto_order(base, phase):
-    """Smallest ladder order resolving a one-axis oscillation budget.
+def _auto_order(phase):
+    """Smallest ladder order, ORDER_FLOOR * 2^k, resolving a one-axis
+    oscillation budget.
 
     Raises :class:`ConvergenceError` when the budget needs more than
     ``ORDER_CAP`` nodes, since a capped rule would alias.
     """
-    need = max(base, int(1.3 * phase) + 48)
+    need = int(1.3 * phase) + 48
     if need > ORDER_CAP:
         raise ConvergenceError(
             f"bump transform needs {need} quadrature nodes, above the cap "
             f"{ORDER_CAP} (oscillation phase {phase:.1f})")
-    order = max(base, 64)
+    order = ORDER_FLOOR
     while order < need:
         order *= 2
-    return min(order, ORDER_CAP)     # still >= need
+    return order
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,12 @@ class Bump2D:
 
     Supported exactly on the box [a0, b0] x [a1, b1].  The Fourier
     transform factorizes into two one-dimensional quadratures whose order
-    grows automatically with the requested momentum so large rapidities do
-    not alias (``order`` is the floor).
+    grows automatically from ``ORDER_FLOOR`` with the requested momentum so
+    large rapidities do not alias.
     """
 
     box: tuple               # (a0, b0, a1, b1)
     amplitude: complex = 1.0
-    order: int = 64
 
     def __post_init__(self):
         a0, b0, a1, b1 = self.box
@@ -166,9 +167,9 @@ class Bump2D:
 
     def fourier(self, p0, p1):
         (c0, c1), (h0, h1) = self.center, self.half_width
-        i0 = _bump_transform(p0, c0, h0, self.order)
+        i0 = _bump_transform(p0, c0, h0)
         # Minkowski pairing p.x = p0 x0 - p1 x1: the spatial axis sees -p1
-        i1 = _bump_transform(-np.asarray(p1, dtype=complex), c1, h1, self.order)
+        i1 = _bump_transform(-np.asarray(p1, dtype=complex), c1, h1)
         return self.amplitude * i0 * i1 / (2 * math.pi)
 
     def transformed(self, x, lam=0.0):
@@ -203,42 +204,32 @@ def _bump_profile(u):
     return np.where(inside, np.exp(-1.0 / den), 0.0)
 
 
-def _bump_transform(p, center, half_width, base_order):
+def _bump_transform(p, center, half_width):
     """\\int g((x - center)/half_width) e^{i p x} dx, vectorized over ``p``.
 
     Gauss-Legendre over the support interval; the order grows from
-    ``base_order`` with the largest |p| so oscillations do not alias.
+    ``ORDER_FLOOR`` with the largest |p| so oscillations do not alias.
     """
     p = np.asarray(p, dtype=complex)
     im_max = float(np.max(np.abs(p.imag))) * (abs(center) + half_width)
     if im_max > EXP_BUDGET:
         raise QuadratureOverflowError(
             f"imaginary phase {im_max:.1f} exceeds budget {EXP_BUDGET}")
-    order = _auto_order(base_order, float(np.max(np.abs(p))) * half_width)
+    order = _auto_order(float(np.max(np.abs(p))) * half_width)
     u, w = gauss_legendre(order)
     x = center + half_width * u
     return (np.exp(1j * np.multiply.outer(p, x))
             * (_bump_profile(u) * w * half_width)).sum(axis=-1)
 
 
-def in_wedge(box, which, shift=(0.0, 0.0)):
-    """Corner test for box membership in a translated wedge.
-
-    Right wedge: x1 - shift1 > |x0 - shift0|; left wedge mirrored.
-    """
+def in_wedge(box, which):
+    """Corner test for box membership in the right wedge ``"R"``,
+    x1 > |x0|, or the left wedge ``"L"``, -x1 > |x0|."""
+    if which not in ("R", "L"):
+        raise ValueError(f"unknown wedge {which!r}")
+    sign = 1 if which == "R" else -1
     a0, b0, a1, b1 = box
-    corners = [(a0, a1), (a0, b1), (b0, a1), (b0, b1)]
-    for (x0, x1) in corners:
-        d0, d1 = x0 - shift[0], x1 - shift[1]
-        if which in ("R", "right"):
-            if not d1 > abs(d0):
-                return False
-        elif which in ("L", "left"):
-            if not -d1 > abs(d0):
-                return False
-        else:
-            raise ValueError(f"unknown wedge {which!r}")
-    return True
+    return all(sign * x1 > abs(x0) for x0 in (a0, b0) for x1 in (a1, b1))
 
 
 def mass_shell(f, sign, zeta, mass=1.0):
@@ -316,7 +307,6 @@ class Bump1D:
     center: float
     half_width: float
     amplitude: complex = 1.0
-    order: int = 64
 
     def __call__(self, x):
         u = (np.asarray(x) - self.center) / self.half_width
@@ -324,12 +314,11 @@ class Bump1D:
 
     def fourier(self, p):
         """(1/sqrt(2pi)) \\int f(x) e^{i p x} dx, entire in p."""
-        return (self.amplitude * _bump_transform(p, self.center, self.half_width,
-                                                 self.order)
+        return (self.amplitude * _bump_transform(p, self.center, self.half_width)
                 / math.sqrt(2 * math.pi))
 
-    def norm_l2_sq(self, order=256):
-        u, w = gauss_legendre(order)
+    def norm_l2_sq(self):
+        u, w = gauss_legendre(256)
         return abs(self.amplitude) ** 2 * self.half_width * float(
             np.sum(_bump_profile(u) ** 2 * w))
 

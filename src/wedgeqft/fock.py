@@ -19,7 +19,6 @@ Phi_{n-1} the creator is n^{-1/2} I_0 (psi x Phi_{n-1}).
 
 from dataclasses import dataclass
 from functools import lru_cache
-import json
 import math
 
 import numpy as np
@@ -560,32 +559,6 @@ def random_fock(S, grid, n_max, rng, margin=0):
             shape[axis] = N
             raw = raw * mask.reshape(shape)
         comps.append(symmetrize(S, raw, grid))
-    return FockVector(grid, comps)
-
-
-def save_fock_vector(path, Phi):
-    """Serialize to a JSON container: grid header plus flat level arrays."""
-    payload = {
-        "grid": {"half_width": Phi.grid.half_width, "count": Phi.grid.count},
-        "n_max": Phi.n_max,
-        "components": [
-            {"re": c.real.ravel().tolist(), "im": c.imag.ravel().tolist()}
-            for c in Phi.components
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_fock_vector(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    grid = RapidityGrid(payload["grid"]["half_width"], payload["grid"]["count"])
-    comps = []
-    for n, entry in enumerate(payload["components"]):
-        arr = (np.asarray(entry["re"], dtype=float)
-               + 1j * np.asarray(entry["im"], dtype=float))
-        comps.append(arr.reshape((grid.count,) * n))
     return FockVector(grid, comps)
 
 

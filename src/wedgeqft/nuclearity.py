@@ -242,18 +242,13 @@ def xi_bound_distal(S, s, kap, sup_norm=None, trace_norm=None):
     return 1.0 / (1.0 - x)
 
 
-def xi_bound_minus(S, s, kap, sup_norm=None, trace_norm=None):
-    """Pauli-improved series sum_n x^n / sqrt(n!); finite for every x.
+def log_xi_bound_minus(S, s, kap, sup_norm=None, trace_norm=None):
+    """log of the Pauli-improved series sum_n x^n / sqrt(n!), finite for
+    every x, with x = sigma * ||T||_1 * sqrt(||S2||_kappa).
 
+    The log form stays in double range where the sum itself overflows.
     Requires S2(0) = -1 (the fermionic subfamily) and a = 0.
     """
-    if S.epsilon != -1:
-        raise ModelError("the improved bound needs S2(0) = -1")
-    x = _bound_factor(S, s, kap, sup_norm, trace_norm, pauli=True)
-    return sqrt_factorial_series(x)
-
-
-def log_xi_bound_minus(S, s, kap, sup_norm=None, trace_norm=None):
     if S.epsilon != -1:
         raise ModelError("the improved bound needs S2(0) = -1")
     x = _bound_factor(S, s, kap, sup_norm, trace_norm, pauli=True)

@@ -229,19 +229,3 @@ def recover_smatrix(S, grid, n, trials, rng):
                           max_overlap_residual=float(worst_overlap),
                           rows=tuple(rows))
 
-
-def two_particle_smatrix(S, psi1, psi2):
-    """Nodewise two-particle multiplier from the wave-operator pieces.
-
-    Requires psi1 < psi2 as an ordered packet; returns the (N, N) grid
-    function V_out*(t1, t2) V_in(t1, t2), which must equal
-    S2(|t1 - t2|) at every node pair.
-    """
-    packet = OrderedWavePacket((psi1, psi2))
-    grid = packet.grid
-    t = grid.nodes
-    lower = t[:, None] <= t[None, :]
-    v_out_star = np.where(lower, 1.0 + 0.0j,
-                          evaluate(S, t[:, None] - t[None, :]))
-    v_in = np.where(lower, evaluate(S, t[None, :] - t[:, None]), 1.0 + 0.0j)
-    return v_out_star * v_in

@@ -32,6 +32,8 @@ def test_load_catalogue_configs():
         cfg = load_config(f"catalogue:{name}")
         assert cfg.model_name in (name, name.replace(".cfg", ""))
         assert cfg.grid.count >= 7
+        # every [testfunction.NAME] block is one that verify-locality reads
+        assert set(cfg.testfunctions) == {cfg.locality.f, cfg.locality.g}
 
 
 def test_catalogue_models_match_expectations():
@@ -103,17 +105,50 @@ def test_line_anchored_errors(tmp_path):
                        ("algebra", "grid_count = 20"),
                        ("algebra", "dn_max = 1"),
                        ("partition", "beta_min = -1"),
-                       ("locality", "grid_count = 1")]:
+                       ("locality", "grid_count = 1"),
+                       # a curve of several steps over an empty range
+                       ("nuclearity", "s_min = 5"),
+                       ("nuclearity", "s_max = 0.5"),
+                       ("partition", "beta_min = 2"),
+                       ("partition", "beta_max = 0.1"),
+                       # kappa outside (0, kappa(S)) = (0, pi/2) here
+                       ("nuclearity", "kappa = 2"),
+                       ("nuclearity", "kappa = 0"),
+                       # bump is the only kind, checked before the keys
+                       # that only another kind would have
+                       ("testfunction.cov",
+                        "kind = gaussian\ncenter = 0.2, -0.3\nsigma = 1.1")]:
         p = write(tmp_path, f"[model]\nepsilon = -1\n[{sec}]\n{entry}\n",
                   "bad6.cfg")
         with pytest.raises(ConfigError) as err:
             load_config(str(p))
         assert err.value.line == 4, entry
         assert str(p) in str(err.value)
-    # the smallest accepted values
+    # a range error names the entry applied last
+    p = write(tmp_path, "[model]\nepsilon = -1\n[nuclearity]\nsteps = 2\n"
+                        "s_min = 1\ns_max = 1\n", "bad8.cfg")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(p))
+    assert err.value.line == 6
+    # the smallest accepted values; a one-step curve may have an empty range
     p = write(tmp_path, "[model]\nepsilon = -1\n[locality]\norder = 8\n"
-                        "grid_count = 3\n[smatrix]\nn_values = 1, 6\n", "ok.cfg")
+                        "grid_count = 3\n[smatrix]\nn_values = 1, 6\n"
+                        "[partition]\nbeta_min = 0.5\nbeta_max = 0.5\n"
+                        "steps = 1\n", "ok.cfg")
     assert load_config(str(p)).smatrix.n_values == (1, 6)
+
+
+def test_kappa_checked_against_the_model(tmp_path):
+    # resonance-pi4 has kappa(S) = pi/4: 1.0 is inside (0, pi/2) but not
+    # inside its strip
+    text = MINIMAL.format(imag=math.pi / 4) + "[nuclearity]\nkappa = 1.0\n"
+    with pytest.raises(ConfigError) as err:
+        load_config(str(write(tmp_path, text)))
+    assert err.value.line == 8
+    assert "nuclearity.kappa must lie in (0, 0.785" in str(err.value)
+    cfg = load_config(str(write(tmp_path, text, "ok.cfg")),
+                      overrides=["nuclearity.kappa=0.7"])
+    assert cfg.nuclearity.kappa == 0.7
 
 
 def test_unmatched_zero_rejected_without_mirroring(tmp_path):
@@ -142,7 +177,7 @@ def test_readme_config_example_loads(tmp_path):
     text = readme.read_text(encoding="utf-8")
     block = text.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = load_config(str(write(tmp_path, block)))
-    assert set(cfg.testfunctions) == {"f", "g", "cov"}
+    assert set(cfg.testfunctions) == {"f", "g"}
     assert cfg.locality.f == "f" and cfg.nuclearity.kappa is None
 
 
@@ -266,9 +301,10 @@ def test_cli_config_error_in_suite_exit2(tmp_path, capsys):
 
 
 def test_cli_override_errors_exit2(tmp_path, capsys):
-    # a misspelt section or key is an error, not a silent default
+    # a misspelt section or key is an error, not a silent default, and so
+    # is a kappa outside the model's strip
     for item in ("mystery.x=1", "nuclarity.steps=0", "nuclearity.stepz=1",
-                 "steps=1"):
+                 "steps=1", "nuclearity.kappa=2"):
         code = main(["verify-scattering", "--config", "catalogue:free",
                      "--out", str(tmp_path / "out"), "--tol-override", item])
         assert code == 2, item
@@ -286,6 +322,37 @@ def test_cli_override_errors_exit2(tmp_path, capsys):
     assert err["message"].startswith(
         "catalogue:shg-b050: --tol-override nuclearity.steps=0: "
         "nuclearity.steps must be an integer >= 1, got '0'"), err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--steps", "0"],
+     "--steps 0: nuclearity.steps must be an integer >= 1, got '0'"),
+    (["--s-min", "-1"],
+     "--s-min -1.0: nuclearity.s_min must be a positive number, got '-1.0'"),
+    (["--s-max", "0"],
+     "--s-max 0.0: nuclearity.s_max must be a positive number, got '0.0'"),
+    (["--beta", "-1"],
+     "--beta -1.0: partition.beta_min must be a positive number, got '-1.0'"),
+    (["--r", "0"],
+     "--r 0.0: partition.r must be a positive number, got '0.0'"),
+    # ranges that no curve of several steps can cover
+    (["--s-min", "5", "--s-max", "0.5"],
+     "--s-min 5.0: nuclearity.s_min must be below nuclearity.s_max when "
+     "nuclearity.steps > 1, got 5.0 and 0.5"),
+    (["--s-min", "1", "--s-max", "1"],
+     "--s-min 1.0: nuclearity.s_min must be below nuclearity.s_max when "
+     "nuclearity.steps > 1, got 1.0 and 1.0"),
+    (["--s-max", "0.5"], "--s-max 0.5: nuclearity.s_min must be below"),
+])
+def test_cli_shortcut_flag_errors_name_the_flag(args, message, tmp_path,
+                                                capsys):
+    code = main(["nuclearity-curve", "--config", "catalogue:ising",
+                 "--out", str(tmp_path / "out"), *args])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["line"] is None
+    assert err["message"].startswith(f"catalogue:ising: {message}"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_shortcut_flags_reach_config(tmp_path, capsys):

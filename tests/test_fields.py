@@ -234,9 +234,9 @@ def test_bump_order_cap_raises_instead_of_aliasing():
     # order need = int(1.3 * |p| * half_width) + 48: 16383 at |p| = 12566,
     # 16385 at 12567 (checked on the order alone: a 16384-node rule takes
     # seconds to build)
-    assert _auto_order(64, 12566.0) == ORDER_CAP
+    assert _auto_order(12566.0) == ORDER_CAP
     with pytest.raises(ConvergenceError):
-        _auto_order(64, 12567.0)
+        _auto_order(12567.0)
     # a rule clamped at the cap aliases to |ft| ~ 2e-3 here, where the true
     # transform is below 1e-100
     with pytest.raises(ConvergenceError):

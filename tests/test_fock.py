@@ -308,12 +308,3 @@ def test_gamma_commutes_with_symmetrizer(shg, grid7, rng):
         grid7, [np.zeros(()), np.zeros(7), np.zeros((7, 7)),
                 wq.symmetrize(shg, raw, grid7)])).component(3)
     assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_serialization_round_trip(shg, grid7, rng, tmp_path):
-    Phi = wq.random_fock(shg, grid7, 3, rng)
-    path = tmp_path / "state.json"
-    wq.save_fock_vector(path, Phi)
-    again = wq.load_fock_vector(path)
-    assert again.grid == Phi.grid
-    assert again.sub(Phi).norm() == 0

@@ -165,7 +165,7 @@ def test_xi_bound_distal_large_distance(resonance):
 
 def test_xi_bound_minus_requires_fermionic(free):
     with pytest.raises(ModelError):
-        wq.xi_bound_minus(free, 1.0, math.pi / 4)
+        log_xi_bound_minus(free, 1.0, math.pi / 4)
 
 
 def test_xi_bound_minus_finite_decreasing(ising, resonance):

@@ -139,13 +139,15 @@ def test_recover_smatrix_n4_single_trial(shg, grid41):
                rep.max_overlap_residual) <= 1e-10, rep
 
 
-def test_two_particle_smatrix(catalogue, grid21, rng):
-    packet = wq.random_ordered_packet(grid21, 2, rng)
+def test_moller_product_is_two_body_smatrix(catalogue, grid21):
+    # out * in reproduces S2(|t1 - t2|) at every node pair, the tied
+    # diagonal included, where it must pick up exactly one S2(0)
     t = grid21.nodes
     for S in catalogue.values():
-        got = wq.two_particle_smatrix(S, *packet.waves)
-        want = wq.evaluate(S, np.abs(t[:, None] - t[None, :]))
-        assert_allclose(got, want, atol=1e-13)
+        got = np.array([[wq.moller_multiplier(S, "out", (a, b))
+                         * wq.moller_multiplier(S, "in", (a, b))
+                         for b in t] for a in t])
+        assert_allclose(got, smatrix_tensor(S, grid21, 2), atol=1e-13)
 
 
 def test_out_state_label_independent(shg, grid41, rng):
