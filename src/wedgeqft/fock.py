@@ -18,7 +18,6 @@ Phi_{n-1} the creator is n^{-1/2} I_0 (psi x Phi_{n-1}).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -37,7 +36,9 @@ class RapidityGrid:
 
     Odd count puts a node at 0 and makes index mirroring an exact
     realization of rapidity reflection.  Trapezoid weights are used, so
-    sum(w) equals the window length.
+    sum(w) equals the window length.  The read-only ``nodes`` and
+    ``weights`` arrays are built once; equality and hashing use the two
+    fields only.
     """
 
     half_width: float
@@ -48,35 +49,16 @@ class RapidityGrid:
             raise GridError(f"count must be odd and >= 3, got {self.count}")
         if not (self.half_width > 0):
             raise GridError(f"half_width must be positive, got {self.half_width}")
+        nodes = np.linspace(-self.half_width, self.half_width, self.count)
+        weights = np.full(self.count, self.spacing)
+        weights[0] = weights[-1] = self.spacing / 2
+        for name, arr in (("nodes", nodes), ("weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def spacing(self):
         return 2 * self.half_width / (self.count - 1)
-
-    @property
-    def nodes(self):
-        n = _grid_nodes(self.half_width, self.count)
-        n.setflags(write=False)
-        return n
-
-    @property
-    def weights(self):
-        w = _grid_weights(self.half_width, self.count)
-        w.setflags(write=False)
-        return w
-
-
-@lru_cache(maxsize=32)
-def _grid_nodes(half_width, count):
-    return np.linspace(-half_width, half_width, count)
-
-
-@lru_cache(maxsize=32)
-def _grid_weights(half_width, count):
-    h = 2 * half_width / (count - 1)
-    w = np.full(count, h)
-    w[0] = w[-1] = h / 2
-    return w
 
 
 @dataclass(frozen=True)
@@ -195,15 +177,16 @@ def _check_tensor_budget(count, n):
             f"rank-{n} tensor on {count} nodes exceeds the dense budget")
 
 
-def _pair_factor(M, n, axis_a, axis_b):
-    """Broadcast view of M placing its rows on axis_a and columns on axis_b.
+def _on_axes(a, n, *axes):
+    """View of ``a`` in n dimensions with its axes on ``axes``, in order.
 
-    Requires axis_a > axis_b, as every caller has it.
+    The other dimensions have length 1, so the view broadcasts against a
+    rank-n tensor.  ``axes`` must be increasing.
     """
     shape = [1] * n
-    shape[axis_a] = M.shape[0]
-    shape[axis_b] = M.shape[1]
-    return M.T.reshape(shape)
+    for axis, size in zip(axes, a.shape):
+        shape[axis] = size
+    return a.reshape(shape)
 
 
 def apply_dn(S, perm, psi_n, grid):
@@ -217,8 +200,6 @@ def apply_dn(S, perm, psi_n, grid):
     n = psi_n.ndim
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of range({n})")
-    if n == 0:
-        return psi_n.copy()
     M = node_matrix(S, grid)
     # np.transpose applies the inverse permutation to the index tuple, so
     # pass argsort(perm) to realize out[i] = psi[i_perm[0], ..., i_perm[n-1]]
@@ -227,7 +208,8 @@ def apply_dn(S, perm, psi_n, grid):
     for l in range(n):
         for k in range(l + 1, n):
             if perm[l] > perm[k]:
-                out *= _pair_factor(M, n, perm[l], perm[k])
+                # S2(t_perm[l] - t_perm[k]) on the two slots
+                out *= _on_axes(M.T, n, perm[k], perm[l])
     return out
 
 
@@ -246,11 +228,11 @@ def _insert(M, t, a=0):
     n = t.ndim
     if a >= n - 1:
         return t
-    term = np.swapaxes(t, a, a + 1) * _pair_factor(M, n, a + 1, a)
+    term = np.swapaxes(t, a, a + 1) * _on_axes(M.T, n, a, a + 1)
     t += term
     for k in range(a + 1, n - 1):
         term = np.swapaxes(term, k, k + 1)
-        term *= _pair_factor(M, n, k + 1, k)
+        term *= _on_axes(M.T, n, k, k + 1)
         t += term
     return t
 
@@ -490,9 +472,7 @@ def poincare_apply(S, g, Phi):
                     f"boost shifts amplitude of size {lost_norm:.3e} "
                     f"off-grid at level {n}")
         for axis in range(n):
-            shape = [1] * n
-            shape[axis] = grid.count
-            c = c * phase.reshape(shape)
+            c = c * _on_axes(phase, n, axis)
         comps.append(c)
     return FockVector(grid, comps)
 
@@ -555,9 +535,7 @@ def random_fock(S, grid, n_max, rng, margin=0):
     for n in range(1, n_max + 1):
         raw = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
         for axis in range(n):
-            shape = [1] * n
-            shape[axis] = N
-            raw = raw * mask.reshape(shape)
+            raw = raw * _on_axes(mask, n, axis)
         comps.append(symmetrize(S, raw, grid))
     return FockVector(grid, comps)
 

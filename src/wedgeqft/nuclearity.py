@@ -1,11 +1,16 @@
 """Trace norms of the damped Cauchy kernels and the nuclearity bound chain.
 
 The quantitative side of the construction reduces to singular values of a
-few explicit integral operators on the line, all of the damped-Cauchy type
+few explicit integral operators on the line, every one built from the one
+damped Cauchy kernel
 
-    K(x, y) = e^{-a cosh x} / (x - y + i b)
+    K(x, y) = e^{-a cosh x} / (c (x - y + i b)).
 
-possibly with reflected or differently shifted denominators.  Singular
+The general operator has c = 1.  The modular operator T_s has a = m s / 2,
+b = kappa / 2 and c = -i pi, so ||T_s||_1 = ||T_general(m s / 2, kappa / 2)||_1
+/ pi (Buchholz & Lechner, Ann. Henri Poincare 5 (2004) 1065; Lechner,
+Commun. Math. Phys. 277 (2008) 821).  The free-Bose position and momentum
+kernels combine it at a = m s, b = +-pi / 2 with its reflection in y.  Singular
 values are computed by a weight-symmetrized Nystrom discretization after
 the substitution y = scale * tan(v), which maps the whole line onto a
 finite interval; the substitution is unitary, so the discrete singular
@@ -60,32 +65,13 @@ def _tan_rule(scale, nodes):
     return y, w * jac
 
 
-def _damped_cauchy(a, b):
+def _damped_cauchy(a, b, c=1.0):
+    """The kernel e^{-a cosh x} / (c (x - y + i b)), in one full-size array."""
     def kern(x, y):
         with np.errstate(over="ignore", under="ignore"):
-            return np.exp(-a * np.cosh(x)) / (x - y + 1j * b)
-    return kern
-
-
-def _modular_kernel(s, kap, mass):
-    a = mass * s / 2
-    half = kap / 2
-
-    def kern(x, y):
-        with np.errstate(over="ignore", under="ignore"):
-            # in place: one full-size complex array instead of three
-            d = y - x - 1j * half
-            d *= 1j * math.pi
+            d = x - y + 1j * b
+            d *= c
             return np.divide(np.exp(-a * np.cosh(x)), d, out=d)
-    return kern
-
-
-def _bose_kernel(s, mass, sign_first):
-    def kern(x, y):
-        with np.errstate(over="ignore", under="ignore"):
-            e = np.exp(-s * mass * np.cosh(x))
-            first = sign_first * e / (y + x + 1j * math.pi / 2)
-            return (first - e / (y - x + 1j * math.pi / 2)) / (2j * math.pi)
     return kern
 
 
@@ -93,8 +79,11 @@ def _bose_kernel(s, mass, sign_first):
 class KernelOperator:
     """One of the explicit integral operators, plus its discretization knobs.
 
-    Kinds: ``general`` (params a, b), ``modular`` (s, kappa, mass),
-    ``bose_phi`` and ``bose_pi`` (s, mass).
+    Every kind is the damped Cauchy kernel of :func:`_damped_cauchy`:
+    ``general`` (params a, b) is it as it stands; ``modular`` (s, kappa,
+    mass) is it at a = m s / 2, b = kappa / 2 over -i pi, so its trace norm
+    is that of ``general`` divided by pi; ``bose_phi`` and ``bose_pi``
+    (s, mass) combine it at a = m s, b = +-pi / 2 with its reflection in y.
     """
 
     kind: str
@@ -114,13 +103,14 @@ class KernelOperator:
             s, kap, mass = self.params
             if not (s > 0 and mass > 0):
                 raise ModelError("modular kernel needs s > 0 and mass > 0")
-            return _modular_kernel(s, kap, mass)
-        if self.kind == "bose_phi":
+            return _damped_cauchy(mass * s / 2, kap / 2, -1j * math.pi)
+        if self.kind in ("bose_phi", "bose_pi"):
             s, mass = self.params
-            return _bose_kernel(s, mass, -1)
-        if self.kind == "bose_pi":
-            s, mass = self.params
-            return _bose_kernel(s, mass, +1)
+            sign = -1 if self.kind == "bose_phi" else +1
+            reflected = _damped_cauchy(s * mass, math.pi / 2)
+            direct = _damped_cauchy(s * mass, -math.pi / 2, c=-1)
+            return lambda x, y: ((sign * reflected(x, -y) - direct(x, y))
+                                 / (2j * math.pi))
         raise ModelError(f"unknown kernel kind {self.kind!r}")
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OrderingError, TruncationCapError
-from .fock import FockVector, N_HARD_CAP, WaveFunction1, create
+from .fock import FockVector, N_HARD_CAP, WaveFunction1, _on_axes, create
 from .sfunction import evaluate
 
 
@@ -83,34 +83,29 @@ def _creation_chain(S, grid, waves):
 
 
 def smatrix_factor(S, thetas):
-    """Totally symmetric multiplier prod_{k<l} S2(|theta_k - theta_l|)."""
-    ts = [float(t) for t in thetas]
+    """Totally symmetric multiplier prod_{k<l} S2(|theta_k - theta_l|).
+
+    The rapidities may be arrays that broadcast against each other; the
+    product is then taken elementwise.
+    """
+    ts = list(thetas)
     out = 1.0 + 0.0j
     for k in range(len(ts)):
         for l in range(k + 1, len(ts)):
-            out *= evaluate(S, abs(ts[k] - ts[l]))
+            out = out * evaluate(S, np.abs(ts[k] - ts[l]))
     return out
 
 
 @lru_cache(maxsize=16)
-def _smatrix_tensor_cached(S, grid, n):
-    t = grid.nodes
-    Mabs = evaluate(S, np.abs(t[:, None] - t[None, :]))
-    out = np.ones((grid.count,) * n, dtype=complex)
-    for k in range(n):
-        for l in range(k + 1, n):
-            shape = [1] * n
-            shape[k] = grid.count
-            shape[l] = grid.count
-            out = out * Mabs.reshape(shape)
-    return out
-
-
 def smatrix_tensor(S, grid, n):
-    """smatrix_factor evaluated at every node tuple (cached per model)."""
-    out = _smatrix_tensor_cached(S, grid, n)
-    out.setflags(write=False)
-    return out
+    """smatrix_factor evaluated at every node tuple (cached per model).
+
+    The tensor is a read-only view of shape ``(N,) * n``; for n < 2 it
+    broadcasts the empty product 1.
+    """
+    t = grid.nodes
+    out = smatrix_factor(S, [_on_axes(t, n, k) for k in range(n)])
+    return np.broadcast_to(out, (grid.count,) * n)
 
 
 def _sorting_perm(thetas, descending=False):
@@ -166,10 +161,7 @@ def overlap_oracle(S, packet):
     n = len(packet)
     dens = np.conj(smatrix_tensor(S, grid, n))
     for k, psi in enumerate(packet.waves):
-        a = grid.weights * np.abs(psi.values) ** 2
-        shape = [1] * n
-        shape[k] = grid.count
-        dens = dens * a.reshape(shape)
+        dens = dens * _on_axes(grid.weights * np.abs(psi.values) ** 2, n, k)
     return complex(dens.sum())
 
 

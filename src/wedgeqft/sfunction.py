@@ -81,10 +81,6 @@ def build_model(epsilon, a=0.0, zeros=(), m=1.0, auto_mirror=True):
     is disabled.
     """
     zs = [complex(b) for b in zeros]
-    for b in zs:
-        if not (0.0 < b.imag <= HALF_PI):
-            raise ModelError(f"zero {b} violates 0 < Im(beta) <= pi/2")
-
     on_axis = [b for b in zs if b.real == 0.0]
     off_axis = [b for b in zs if b.real != 0.0]
     paired = []

@@ -198,6 +198,39 @@ def test_python_m_entry_point_schema():
     assert "verify-locality" in json.loads(proc.stdout)
 
 
+def test_benchmark_scripts_reach_the_package(tmp_path):
+    # perfbench/ drives the package from outside, through load_config,
+    # run_suites, assemble_report and main; a renamed entry point must fail
+    # here, since the benchmark itself then still exits 0
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(script, *args):
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / script),
+             *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    plan = write(tmp_path, json.dumps({
+        "seed": 1, "trace": False, "min_seconds": 0, "cycle": 1,
+        "models": [{"config": "catalogue:free",
+                    "suites": ["verify-scattering"],
+                    "report": str(tmp_path / "report.json")}]}), "plan.json")
+    run("session.py", plan, tmp_path / "session.json")
+    session = json.loads((tmp_path / "session.json").read_text())
+    assert session["setup_done"] is not None
+    [model] = session["models"]
+    assert [op["ok"] for op in model["ops"]] == [True]
+
+    run("cli_child.py", tmp_path / "sidecar.json", 0, "--",
+        "verify-scattering", "--config", "catalogue:free",
+        "--out", tmp_path / "out", "--seed", 1)
+    sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+    assert sidecar["setup_done"] is not None
+    assert sidecar["suites"] == ["verify-scattering"]
+
+
 # each suite on the cheapest catalogue model it applies to, plus a
 # fermionic model for the curve, whose log_bound_minus column is
 # fermionic-only; the overrides only shrink the work
@@ -399,6 +432,17 @@ def test_cli_suite_failure_exit1(tmp_path, capsys, monkeypatch):
     summary = report["suites"]["verify-locality"]["summary"]
     assert summary["max_contour_relative"] > 1e-30
     capsys.readouterr()
+    # a suite that raises is a suite error, also exit 1, with no report
+    code = main(["verify-locality", "--config", "catalogue:free",
+                 "--out", str(tmp_path / "swapped"),
+                 "--tol-override", "locality.f=g",
+                 "--tol-override", "locality.g=f"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "suite-error"
+    assert err["message"].startswith("f box ")
+    assert err["message"].endswith(" not inside W_R")
+    assert not (tmp_path / "swapped").exists()
 
 
 def test_cli_determinism(tmp_path, capsys):

@@ -51,6 +51,13 @@ def test_trace_norm_below_bound_and_converged():
                                        refine=True)
             assert r.converged and r.rel_change < 1e-3
             assert r.value <= wq.analytic_trace_bound(a, b)
+    # a start too coarse for the doubling budget is flagged, not raised,
+    # and the last level is returned
+    r = wq.trace_norm_estimate(
+        KernelOperator("general", (1.0, 0.6), scale=1e-3, nodes=4))
+    assert not r.converged
+    assert (r.nodes, r.scale) == (32, 0.008)
+    assert 0.4 < r.rel_change < 0.5 and math.isfinite(r.value)
 
 
 def test_trace_norm_strong_damping_vanishes():
@@ -74,6 +81,11 @@ def test_modular_kernel_decreasing_and_mapped_bound(resonance):
     for s, v in zip((0.5, 1.0, 2.0), vals):
         mapped = wq.analytic_trace_bound(resonance.mass * s / 2, kap / 2) / math.pi
         assert v <= mapped
+        # the modular operator is the general one over -i pi
+        general = wq.trace_norm_estimate(
+            KernelOperator("general", (resonance.mass * s / 2, kap / 2)),
+            refine=False).value
+        assert abs(v - general / math.pi) <= 1e-14 * v
 
 
 def test_sigma_formula_second_path(ising):
@@ -223,6 +235,9 @@ def test_free_bose_bound():
     assert abs(r10.value - 1.0) < 1e-3
     vals = [wq.free_bose_bound(s, nodes=200).value for s in (0.5, 1.0, 2.0)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
+    # at short distance a singular value passes 1 and the surrogate is inf
+    r0 = wq.free_bose_bound(1e-3, nodes=100)
+    assert r0.max_singular_phi > 1.0 and r0.value == math.inf
 
 
 def test_ising_fermi_vs_determinant():

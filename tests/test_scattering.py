@@ -114,6 +114,18 @@ def test_smatrix_tensor_unimodular_preserves_norm(shg, grid21, rng):
     assert abs(norm2(Sn * c) - norm2(c)) < 1e-12 * norm2(c)
 
 
+def test_smatrix_tensor_is_factor_at_node_tuples(catalogue, grid21, rng):
+    t = grid21.nodes
+    for S in catalogue.values():
+        for n in (0, 1, 2, 3, 4):
+            Sn = smatrix_tensor(S, grid21, n)
+            assert Sn.shape == (grid21.count,) * n
+            assert not Sn.flags.writeable
+            for idx in rng.integers(0, grid21.count, (8, n)):
+                assert abs(Sn[tuple(idx)]
+                           - wq.smatrix_factor(S, t[idx])) < 1e-14
+
+
 def test_overlap_oracle_reduced_matches_literal(catalogue, grid41, rng):
     for S in catalogue.values():
         for n in (2, 3):
