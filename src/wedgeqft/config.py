@@ -124,7 +124,7 @@ SCHEMA = {
         "tol": (NUMBER, 1e-10),
     },
     "nuclearity": {
-        # None: half the model's analyticity margin
+        # None: load_config sets half the model's analyticity margin
         "kappa": (NUMBER, None),
         "s_min": (POSITIVE, 0.5), "s_max": (POSITIVE, 5.0),
         "steps": (COUNT, 5),
@@ -230,8 +230,9 @@ class RunConfig(SimpleNamespace):
     """A checked config: one namespace per SCHEMA section, its keys as
     attributes (``cfg.nuclearity.s_min``), except that ``model`` and
     ``grid`` are the objects built from theirs (with ``model_name`` and
-    ``n_max`` beside them).  ``path`` is the config as given, ``echo`` its
-    raw entries and ``testfunctions`` the built blocks by name."""
+    ``n_max`` beside them), and ``nuclearity.kappa`` is always a number.
+    ``path`` is the config as given, ``echo`` its raw entries and
+    ``testfunctions`` the built blocks by name."""
 
     def testfunction(self, name):
         if name not in self.testfunctions:
@@ -243,7 +244,8 @@ class RunConfig(SimpleNamespace):
 def load_config(path, overrides=()):
     """Parse ``path`` or ``catalogue:NAME``, apply ``section.key=value``
     overrides, and check every entry against :data:`SCHEMA`.  An override
-    is that text, or a pair (text, source) whose errors name ``source``."""
+    is that text, or a pair (text, source) whose errors name ``source``.
+    A missing ``nuclearity.kappa`` is set here to half of ``kappa(model)``."""
     path = str(path)
     raw = _parse_sections(path)
     for item in overrides:
@@ -289,7 +291,9 @@ def load_config(path, overrides=()):
     except ModelError as exc:
         raise _error(path, raw["model"]["zeros"], str(exc))
     kap, margin = settings["nuclearity"]["kappa"], kappa(model)
-    if kap is not None and not 0.0 < kap < margin:
+    if kap is None:
+        settings["nuclearity"]["kappa"] = margin / 2
+    elif not 0.0 < kap < margin:
         raise _error(path, raw["nuclearity"]["kappa"],
                      f"nuclearity.kappa must lie in (0, {margin}), the "
                      f"model's analyticity margin, got {kap}")

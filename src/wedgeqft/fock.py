@@ -526,16 +526,14 @@ def random_fock(S, grid, n_max, rng, margin=0):
     exact (shifted amplitude never reaches the trapezoid half-weight ends).
     """
     N = grid.count
-    mask = np.ones(N)
-    if margin:
-        mask[:margin] = 0.0
-        mask[-margin:] = 0.0
     comps = [np.asarray(rng.standard_normal() + 1j * rng.standard_normal(),
                         dtype=complex)]
     for n in range(1, n_max + 1):
         raw = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
-        for axis in range(n):
-            raw = raw * _on_axes(mask, n, axis)
+        for axis in range(n if margin > 0 else 0):  # [-0:] is all of raw
+            shells = np.moveaxis(raw, axis, 0)     # a view into raw
+            shells[:margin] = 0.0
+            shells[-margin:] = 0.0
         comps.append(symmetrize(S, raw, grid))
     return FockVector(grid, comps)
 

@@ -112,6 +112,8 @@ def _line_restriction(f, sign, mass, window, order, shift):
 
 def _contour_samples(S, f, g, n, spectators, window, order):
     """(B, C) per spectator tuple on the real line, with tail checks."""
+    if not spectators:
+        raise ValueError("no spectator tuples: nothing would be checked")
     t, w = _gl_line(window, order)
     fm_v = _line_restriction(f, -1, S.mass, window, order, 0.0)
     gp_v = _line_restriction(g, +1, S.mass, window, order, 0.0)
@@ -156,7 +158,8 @@ def verify_contour_identity(S, f, g, n, spectators, window=WINDOW_DEFAULT,
         _require_wedge_separation(f, g)
     rows = []
     worst = 0.0
-    for theta, B, C in _contour_samples(S, f, g, n, spectators, window, order):
+    samples = _contour_samples(S, f, g, n, spectators, window, order)
+    for theta, B, C in samples:
         rel = _relative_sum(B, C)
         worst = max(worst, rel)
         rows.append({"n": n, "thetas": theta, "abs_b": abs(B), "abs_c": abs(C),
@@ -164,15 +167,11 @@ def verify_contour_identity(S, f, g, n, spectators, window=WINDOW_DEFAULT,
 
     # shift mechanism at the first sample: B computed on Im(t) = pi
     t, w = _gl_line(window, order)
-    theta0 = tuple(float(x) for x in spectators[0]) if spectators else ()
-
-    def b_on_line(shift):
-        fm_v = _line_restriction(f, -1, S.mass, window, order, shift)
-        gp_v = _line_restriction(g, +1, S.mass, window, order, shift)
-        return _line_integral(S, fm_v, gp_v, t, w, theta0, flip=False,
-                              shift=shift)[0]
-
-    B0, Bs = b_on_line(0.0), b_on_line(math.pi)
+    theta0, B0, _ = samples[0]
+    fm_v = _line_restriction(f, -1, S.mass, window, order, math.pi)
+    gp_v = _line_restriction(g, +1, S.mass, window, order, math.pi)
+    Bs = _line_integral(S, fm_v, gp_v, t, w, theta0, flip=False,
+                        shift=math.pi)[0]
     shift_rel = abs(Bs - B0) / max(abs(B0), RESIDUAL_FLOOR)
 
     return ContourReport(samples=tuple(rows), max_relative=float(worst),
@@ -186,8 +185,7 @@ def refinement_study(S, f, g, n, spectators, orders,
     out = []
     for order in orders:
         samples = _contour_samples(S, f, g, n, spectators, window, order)
-        out.append(max((_relative_sum(B, C) for _, B, C in samples),
-                       default=0.0))
+        out.append(max(_relative_sum(B, C) for _, B, C in samples))
     return out
 
 

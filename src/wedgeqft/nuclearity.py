@@ -195,14 +195,15 @@ def _require_bounded_family(S):
             "nuclearity estimates need the bounded family (a = 0)")
 
 
-def sigma(S, s, kap, sup_norm=None):
+def sigma(S, s, kap):
     """Hardy constant controlling the wedge wavefunction bounds.
 
     sigma(s, kappa) = 2 sqrt(2) e^{-m s cos(kappa)} ||S2||_kappa
                       / sqrt((m s / 2) cos(kappa) (kappa(S2) - kappa)),
     monotone decreasing in s, divergent at s = 0.  The argument convention
     absorbs the half/half splitting of the distance, so the same constant
-    appears in the distal and Pauli-improved series.
+    appears in the distal and Pauli-improved series.  ||S2||_kappa is
+    always the memoized :func:`~wedgeqft.sfunction.strip_sup_norm`.
     """
     _require_bounded_family(S)
     kmax = kappa_of(S)
@@ -210,11 +211,9 @@ def sigma(S, s, kap, sup_norm=None):
         raise StripError(f"kappa must lie in (0, {kmax}), got {kap}")
     if not (s > 0):
         raise ValueError(f"splitting distance must be positive, got {s}")
-    if sup_norm is None:
-        sup_norm = strip_sup_norm(S, kap)
     m = S.mass
     ck = math.cos(kap)
-    return (2 * math.sqrt(2) * math.exp(-m * s * ck) * sup_norm
+    return (2 * math.sqrt(2) * math.exp(-m * s * ck) * strip_sup_norm(S, kap)
             / math.sqrt((m * s / 2) * ck * (kmax - kap)))
 
 
@@ -224,15 +223,15 @@ def modular_trace_norm(S, s, kap, nodes=NODES_DEFAULT, refine=False):
     return trace_norm_estimate(K, refine=refine)
 
 
-def xi_bound_distal(S, s, kap, sup_norm=None, trace_norm=None):
+def xi_bound_distal(S, s, kap, trace_norm=None):
     """Geometric bound series: 1/(1 - x) for x = sigma * ||T||_1, else inf."""
-    x = _bound_factor(S, s, kap, sup_norm, trace_norm, pauli=False)
+    x = _bound_factor(S, s, kap, trace_norm, pauli=False)
     if x >= 1.0:
         return math.inf
     return 1.0 / (1.0 - x)
 
 
-def log_xi_bound_minus(S, s, kap, sup_norm=None, trace_norm=None):
+def log_xi_bound_minus(S, s, kap, trace_norm=None):
     """log of the Pauli-improved series sum_n x^n / sqrt(n!), finite for
     every x, with x = sigma * ||T||_1 * sqrt(||S2||_kappa).
 
@@ -241,19 +240,17 @@ def log_xi_bound_minus(S, s, kap, sup_norm=None, trace_norm=None):
     """
     if S.epsilon != -1:
         raise ModelError("the improved bound needs S2(0) = -1")
-    x = _bound_factor(S, s, kap, sup_norm, trace_norm, pauli=True)
+    x = _bound_factor(S, s, kap, trace_norm, pauli=True)
     return log_sqrt_factorial_series(x)
 
 
-def _bound_factor(S, s, kap, sup_norm, trace_norm, pauli):
+def _bound_factor(S, s, kap, trace_norm, pauli):
     _require_bounded_family(S)
-    if sup_norm is None:
-        sup_norm = strip_sup_norm(S, kap)
     if trace_norm is None:
         trace_norm = modular_trace_norm(S, s, kap).value
-    x = sigma(S, s, kap, sup_norm=sup_norm) * trace_norm
+    x = sigma(S, s, kap) * trace_norm
     if pauli:
-        x *= math.sqrt(sup_norm)
+        x *= math.sqrt(strip_sup_norm(S, kap))
     return x
 
 
@@ -308,8 +305,7 @@ def log_sqrt_factorial_series(x):
     return total
 
 
-def find_s_min(S, kap, bracket=None, tol=1e-4, nodes=NODES_DEFAULT,
-               sup_norm=None):
+def find_s_min(S, kap, bracket=None, tol=1e-4, nodes=NODES_DEFAULT):
     """Root of sigma(s, kappa) ||T_s||_1 = 1 in the bracket, to ``tol`` in s.
 
     The objective is strictly decreasing in s, so above the root the
@@ -317,18 +313,17 @@ def find_s_min(S, kap, bracket=None, tol=1e-4, nodes=NODES_DEFAULT,
     The root is found by Brent's method (``scipy.optimize.brentq``) on the
     unrefined ``nodes``-point trace norms; :class:`ConvergenceError` is
     raised when the objective does not change sign over the bracket.
+    :func:`sigma` supplies ||S2||_kappa, computed once per model and kappa.
     """
     _require_bounded_family(S)
     m = S.mass
     if bracket is None:
         bracket = (1e-3 / m, 50.0 / m)
-    if sup_norm is None:
-        sup_norm = strip_sup_norm(S, kap)
 
     @cache          # brentq evaluates the two bracket ends again
     def objective(s):
         tn = modular_trace_norm(S, s, kap, nodes=nodes).value
-        return sigma(S, s, kap, sup_norm=sup_norm) * tn - 1.0
+        return sigma(S, s, kap) * tn - 1.0
 
     lo, hi = bracket
     f_lo, f_hi = objective(lo), objective(hi)
@@ -395,8 +390,7 @@ class PartitionBound:
     heuristic: bool = True
 
 
-def partition_bound(S, beta, r, kap, improved=False, nodes=NODES_DEFAULT,
-                    sup_norm=None):
+def partition_bound(S, beta, r, kap, improved=False, nodes=NODES_DEFAULT):
     """Heuristic partition-function bound for the fermionic subfamily.
 
     mu = arctan(beta / 2r) / 2pi sets the effective damping
@@ -412,9 +406,8 @@ def partition_bound(S, beta, r, kap, improved=False, nodes=NODES_DEFAULT,
     s_eff = r * math.sin(2 * math.pi * mu)
     if not (s_eff > 0):
         raise ValueError("effective damping is nonpositive")
-    log_series = log_xi_bound_minus(
-        S, s_eff, kap, sup_norm=sup_norm,
-        trace_norm=modular_trace_norm(S, s_eff, kap, nodes=nodes).value)
+    trace_norm = modular_trace_norm(S, s_eff, kap, nodes=nodes).value
+    log_series = log_xi_bound_minus(S, s_eff, kap, trace_norm=trace_norm)
     prefactor = 1.0 if improved else 2.0
     log_value = math.log(prefactor) + log_series
     # multiply by the prefactor after exponentiating: doubling is exact in

@@ -13,7 +13,7 @@ products) feed the locality and nuclearity checks downstream.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 import cmath
 import math
 
@@ -160,8 +160,10 @@ _MARGIN = 10.0
 _SAMPLES = 10_000
 
 
+@cache
 def strip_sup_norm(S, kap):
-    """Sup of |S2| over the closed strip S(-kappa, pi+kappa).
+    """Sup of |S2| over the closed strip S(-kappa, pi+kappa), memoized per
+    (model, kappa): every bound that uses ||S2||_kappa calls this for it.
 
     By the boundary symmetries it suffices to maximize f(t) = |S2(t - i*kappa)|
     over real t; |S2| <= 1 holds on the physical strip so the result is
@@ -271,14 +273,7 @@ def y_phase(S, sign, zetas):
     return out
 
 
-@lru_cache(maxsize=64)
-def _node_matrix_cached(S, grid):
+def node_matrix(S, grid):
+    """Matrix M[i, j] = S2(theta_i - theta_j) on a rapidity grid."""
     t = grid.nodes
     return evaluate(S, t[:, None] - t[None, :])
-
-
-def node_matrix(S, grid):
-    """Matrix M[i, j] = S2(theta_i - theta_j) on a rapidity grid (cached)."""
-    M = _node_matrix_cached(S, grid)
-    M.setflags(write=False)
-    return M

@@ -73,14 +73,15 @@ def verify_algebra(cfg, rng):
         phi = fock.random_wavefunction(grid, rng)
         zf_worst = max(zf_worst, *fock.check_zf_relations(S, psi, phi, Phi))
         Psi = fock.random_fock(S, grid, cfg.n_max + 1, rng)
-        lhs = fock.create(S, psi, Phi).inner(Psi)
+        lhs = fock.create(S, psi, Phi)
+        bound_ok &= (lhs.norm()
+                     <= psi.norm() * Phi.number_half_power(1.0).norm() + tol)
+        lhs = lhs.inner(Psi)    # frees the created vector, as large as Psi
         rhs = Phi.inner(fock.annihilate(S, psi.conj(), Psi))
         scale = max(Phi.norm() * Psi.norm(), 1e-300)
         adj_worst = max(adj_worst, abs(lhs - rhs) / scale)
         bound_ok &= (fock.annihilate(S, psi, Phi).norm()
                      <= psi.norm() * Phi.number_half_power().norm() + tol)
-        bound_ok &= (fock.create(S, psi, Phi).norm()
-                     <= psi.norm() * Phi.number_half_power(1.0).norm() + tol)
     worst["zf_relations"] = zf_worst
     worst["adjointness"] = adj_worst
 
@@ -192,16 +193,9 @@ def run_smatrix(cfg, rng):
     return SuiteResult(worst <= cfg.smatrix.tol, summary, rows)
 
 
-def _nuclearity_kappa(cfg):
-    kap = cfg.nuclearity.kappa
-    if kap is None:
-        kap = sfunction.kappa(cfg.model) / 2
-    return kap
-
-
 def nuclearity_curve(cfg, rng):
     S = cfg.model
-    kap = _nuclearity_kappa(cfg)
+    kap = cfg.nuclearity.kappa
     sup = sfunction.strip_sup_norm(S, kap)
     svals = np.linspace(cfg.nuclearity.s_min, cfg.nuclearity.s_max,
                         cfg.nuclearity.steps)
@@ -212,8 +206,8 @@ def nuclearity_curve(cfg, rng):
         tn = nuclearity.modular_trace_norm(
             S, s, kap, nodes=cfg.nuclearity.nodes, refine=True)
         nonconv |= not tn.converged
-        sig = nuclearity.sigma(S, float(s), kap, sup_norm=sup)
-        distal = nuclearity.xi_bound_distal(S, float(s), kap, sup_norm=sup,
+        sig = nuclearity.sigma(S, float(s), kap)
+        distal = nuclearity.xi_bound_distal(S, float(s), kap,
                                             trace_norm=tn.value)
         row = {"s": float(s), "sigma": sig, "trace_norm": tn.value,
                "trace_rel_change": tn.rel_change,
@@ -222,7 +216,7 @@ def nuclearity_curve(cfg, rng):
                "bound_distal": distal}
         if fermionic:
             row["log_bound_minus"] = nuclearity.log_xi_bound_minus(
-                S, float(s), kap, sup_norm=sup, trace_norm=tn.value)
+                S, float(s), kap, trace_norm=tn.value)
         rows.append(row)
     sig_seq = [r["sigma"] for r in rows]
     tn_seq = [r["trace_norm"] for r in rows]
@@ -241,7 +235,7 @@ def nuclearity_curve(cfg, rng):
 
 def find_smin_suite(cfg, rng):
     S = cfg.model
-    kap = _nuclearity_kappa(cfg)
+    kap = cfg.nuclearity.kappa
     s_min = nuclearity.find_s_min(S, kap, nodes=cfg.nuclearity.nodes)
     summary = {"kappa": kap, "s_min": s_min,
                "in_expected_range": bool(0.0 < s_min < 50.0 / S.mass)}
@@ -290,16 +284,14 @@ def ising_fermi(cfg, rng):
 
 def partition(cfg, rng):
     S = cfg.model
-    kap = _nuclearity_kappa(cfg)
-    sup = sfunction.strip_sup_norm(S, kap)
+    kap = cfg.nuclearity.kappa
     p = cfg.partition
     betas = np.linspace(p.beta_min, p.beta_max, p.steps)
     rows = []
     for beta in betas:
         r = nuclearity.partition_bound(S, float(beta), p.r, kap,
                                        improved=p.improved,
-                                       nodes=cfg.nuclearity.nodes,
-                                       sup_norm=sup)
+                                       nodes=cfg.nuclearity.nodes)
         rows.append({"beta": float(beta), "inv_beta": 1.0 / float(beta),
                      "mu": r.mu, "s_effective": r.s_effective,
                      "log_bound": r.log_value, "bound": r.value,
@@ -368,9 +360,9 @@ def suites_for_all(cfg):
     """The 'all' selection, adapted to the model class.
 
     The fermionic extras need S2(0) = -1; the free-Bose determinant is the
-    free model's special case; the distal-distance search needs a
-    non-constant bounded model (otherwise sigma * ||T||_1 < 1 everywhere
-    reachable and the bracket has no root).
+    free model's special case.  The distal-distance search runs only on
+    models with zeros: on a constant one s_min is a function of the mass
+    and kappa alone (1.805 at unit mass and kappa = pi/4).
     """
     S = cfg.model
     names = ["verify-scattering", "verify-algebra", "verify-locality",

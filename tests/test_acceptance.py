@@ -181,8 +181,7 @@ def test_criterion_08_fermionic_all_distance_bound(ising, resonance):
     svals = (0.2, 0.5, 1.0, 2.0, 5.0)
     ok = True
     for S, kap in ((ising, math.pi / 4), (resonance, math.pi / 8)):
-        sup = wq.strip_sup_norm(S, kap)
-        logs = [log_xi_bound_minus(S, s, kap, sup_norm=sup) for s in svals]
+        logs = [log_xi_bound_minus(S, s, kap) for s in svals]
         ok &= all(math.isfinite(v) for v in logs)
         ok &= all(x > y for x, y in zip(logs, logs[1:]))
 

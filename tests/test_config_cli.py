@@ -10,7 +10,8 @@ import pytest
 import wedgeqft as wq
 from wedgeqft.cli import main
 from wedgeqft.config import load_config
-from wedgeqft.errors import ConfigError
+from wedgeqft.errors import ConfigError, ConvergenceError
+from wedgeqft.suites import suites_for_all
 
 MINIMAL = """
 [model]
@@ -178,7 +179,44 @@ def test_readme_config_example_loads(tmp_path):
     block = text.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = load_config(str(write(tmp_path, block)))
     assert set(cfg.testfunctions) == {"f", "g"}
-    assert cfg.locality.f == "f" and cfg.nuclearity.kappa is None
+    assert cfg.locality.f == "f"
+    assert cfg.nuclearity.kappa == wq.kappa(cfg.model) / 2
+
+
+@pytest.mark.parametrize("name,extras", [
+    ("free", ["free-bose"]),
+    ("ising", ["ising-fermi", "partition"]),
+    ("shg-b050", ["find-smin", "partition"]),
+    ("resonance-pi4", ["find-smin", "partition"]),
+])
+def test_all_selection_per_catalogue_model(name, extras):
+    common = ["verify-scattering", "verify-algebra", "verify-locality",
+              "smatrix", "nuclearity-curve"]
+    assert suites_for_all(load_config(f"catalogue:{name}")) == common + extras
+
+
+def test_warm_caches_leave_bound_reports_unchanged(tmp_path, capsys):
+    # a model with zeros, so strip_sup_norm does real work; the second run
+    # finds every memoized and lru-cached value already computed
+    shrink = ["--tol-override", "nuclearity.nodes=100", "--steps", "2"]
+    wq.strip_sup_norm.cache_clear()
+    for run in ("cold", "warm"):
+        for suite in ("nuclearity-curve", "find-smin", "partition"):
+            code = main([suite, "--config", "catalogue:shg-b050",
+                         "--out", str(tmp_path / run / suite), *shrink])
+            assert code == 0
+    capsys.readouterr()
+    assert wq.strip_sup_norm.cache_info().misses == 1
+    for suite in ("nuclearity-curve", "find-smin", "partition"):
+        for name in ("report.json", "nuclearity-report.json"):
+            cold = (tmp_path / "cold" / suite / name).read_bytes()
+            assert (tmp_path / "warm" / suite / name).read_bytes() == cold
+    # find-smin writes its root into the bound report too
+    smin = tmp_path / "cold" / "find-smin"
+    report = json.loads((smin / "report.json").read_text())
+    s_min = report["suites"]["find-smin"]["summary"]["s_min"]
+    nuc = json.loads((smin / "nuclearity-report.json").read_text())
+    assert 0.0 < s_min < 50.0 and nuc["s_min"] == s_min
 
 
 def test_cli_schema(capsys):
@@ -416,6 +454,18 @@ def test_cli_nonconvergence_exit3(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "out")])
     assert code == 3
     capsys.readouterr()
+
+    # a suite that raises ConvergenceError also exits 3, with no report
+    def raising(cfg, rng):
+        raise ConvergenceError("budget exhausted")
+
+    monkeypatch.setitem(SUITES, "verify-scattering", Suite(raising, {}))
+    code = main(["verify-scattering", "--config", str(p),
+                 "--out", str(tmp_path / "raised")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err == {"kind": "nonconvergence", "message": "budget exhausted"}
+    assert not (tmp_path / "raised").exists()
 
 
 def test_cli_suite_failure_exit1(tmp_path, capsys, monkeypatch):

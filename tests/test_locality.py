@@ -118,6 +118,16 @@ def test_refinement_ratios(shg, wedge_pair):
         assert nxt <= prev / 10 or nxt <= 1e-9
 
 
+def test_contour_checks_reject_an_empty_spectator_list(shg, wedge_pair):
+    # no spectator tuple means no sample: a residual of 0.0 over it would
+    # pass any tolerance without having checked anything
+    f, g = wedge_pair
+    with pytest.raises(ValueError, match="no spectator tuples"):
+        wq.verify_contour_identity(shg, f, g, 1, [])
+    with pytest.raises(ValueError, match="no spectator tuples"):
+        wq.refinement_study(shg, f, g, 1, [], orders=(256, 512))
+
+
 def test_line_restrictions_computed_once(monkeypatch, rng):
     cfg = load_config("catalogue:free",
                       overrides=["locality.order=256", "locality.grid_count=11",

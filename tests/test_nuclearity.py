@@ -91,7 +91,7 @@ def test_modular_kernel_decreasing_and_mapped_bound(resonance):
 def test_sigma_formula_second_path(ising):
     # independent re-derivation: evaluate the double-distance form at s/2
     s, kap = 1.0, math.pi / 4
-    got = wq.sigma(ising, s, kap, sup_norm=1.0)
+    got = wq.sigma(ising, s, kap)
     m = ising.mass
     kmax = wq.kappa(ising)
 
@@ -161,12 +161,11 @@ def test_series_log_large_argument():
 
 
 def test_xi_bound_distal_values(ising):
-    # feed explicit factors so the geometric series is exercised exactly
-    sup = 1.0
-    sig = wq.sigma(ising, 1.0, math.pi / 4, sup_norm=sup)
-    assert wq.xi_bound_distal(ising, 1.0, math.pi / 4, sup_norm=sup,
+    # feed explicit trace norms so the geometric series is exercised exactly
+    sig = wq.sigma(ising, 1.0, math.pi / 4)
+    assert wq.xi_bound_distal(ising, 1.0, math.pi / 4,
                               trace_norm=0.5 / sig) == 2.0
-    assert wq.xi_bound_distal(ising, 1.0, math.pi / 4, sup_norm=sup,
+    assert wq.xi_bound_distal(ising, 1.0, math.pi / 4,
                               trace_norm=1.0 / sig) == math.inf
 
 
@@ -184,8 +183,7 @@ def test_xi_bound_minus_finite_decreasing(ising, resonance):
     ivals = [log_xi_bound_minus(ising, s, math.pi / 4) for s in (0.5, 1, 2, 5)]
     assert all(math.isfinite(v) for v in ivals)
     assert all(x > y for x, y in zip(ivals, ivals[1:]))
-    sup = wq.strip_sup_norm(resonance, math.pi / 8)
-    rvals = [log_xi_bound_minus(resonance, s, math.pi / 8, sup_norm=sup)
+    rvals = [log_xi_bound_minus(resonance, s, math.pi / 8)
              for s in (0.5, 1, 2, 5)]
     assert all(math.isfinite(v) for v in rvals)
     assert all(x > y for x, y in zip(rvals, rvals[1:]))
@@ -201,8 +199,7 @@ def test_find_s_min_resonance(resonance):
 
 def test_find_s_min_objective_monotone(resonance):
     kap = math.pi / 8
-    sup = wq.strip_sup_norm(resonance, kap)
-    vals = [wq.sigma(resonance, s, kap, sup_norm=sup)
+    vals = [wq.sigma(resonance, s, kap)
             * modular_trace_norm(resonance, s, kap, nodes=200).value
             for s in (0.5, 1.5, 3.0, 6.0, 12.0)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
@@ -213,10 +210,9 @@ def test_find_s_min_root_within_tol(resonance):
     # objective changes sign within tol of the returned root
     kap, tol = math.pi / 8, 1e-4
     smin = wq.find_s_min(resonance, kap, tol=tol)
-    sup = wq.strip_sup_norm(resonance, kap)
 
     def objective(s):
-        return (wq.sigma(resonance, s, kap, sup_norm=sup)
+        return (wq.sigma(resonance, s, kap)
                 * modular_trace_norm(resonance, s, kap).value - 1.0)
 
     assert objective(smin - tol) > 0 > objective(smin + tol)
