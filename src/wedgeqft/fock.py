@@ -15,6 +15,9 @@ symmetrizer factors over the cosets of S_{n-1} (Okounkov & Vershik,
 Selecta Math. 2 (1996) 581) as P_n = (1/n) I_0 (1 x P_{n-1}): n(n-1)/2
 twisted swaps instead of n! permutations.  On a twisted-symmetric
 Phi_{n-1} the creator is n^{-1/2} I_0 (psi x Phi_{n-1}).
+
+Vectors own their arrays: the constructors freeze what they are given, so
+read-only arrays are shared between vectors and never copied to protect them.
 """
 
 from dataclasses import dataclass
@@ -63,17 +66,17 @@ class RapidityGrid:
 
 @dataclass(frozen=True)
 class WaveFunction1:
-    """One-particle vector: complex amplitudes on the grid nodes."""
+    """One-particle vector: complex amplitudes on the grid nodes, held in the
+    array given and frozen read-only (a caller who keeps writing passes a copy)."""
 
     grid: RapidityGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=complex, order="C")
         if v.shape != (self.grid.count,):
             raise GridError(
                 f"values shape {v.shape} does not match grid count {self.grid.count}")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -82,6 +85,8 @@ class WaveFunction1:
 
     def inner(self, other):
         """<self, other> = sum w * conj(self) * other."""
+        if other.grid != self.grid:
+            raise GridError("grid mismatch in inner product")
         return complex(np.sum(self.grid.weights * np.conj(self.values) * other.values))
 
     def conj(self):
@@ -92,19 +97,19 @@ class FockVector:
     """Particle-number-truncated state: one rank-n tensor per level.
 
     ``components[n]`` has shape ``(N,) * n`` (the n = 0 entry is a scalar
-    array).  Instances are treated as immutable; all operations return
-    fresh vectors.
+    array).  The constructor freezes the arrays it is given, and a caller
+    who keeps writing passes a copy.  Vectors may share these read-only
+    arrays; all operations return new vectors.
     """
 
     def __init__(self, grid, components):
         self.grid = grid
         comps = []
         for n, c in enumerate(components):
-            arr = np.asarray(c, dtype=complex)
+            arr = np.asarray(c, dtype=complex, order="C")
             if arr.shape != (grid.count,) * n:
                 raise GridError(
                     f"component {n} has shape {arr.shape}, expected {(grid.count,) * n}")
-            arr = arr.copy()
             arr.setflags(write=False)
             comps.append(arr)
         self.components = tuple(comps)
@@ -134,25 +139,25 @@ class FockVector:
     def inner(self, other):
         if other.grid != self.grid:
             raise GridError("grid mismatch in inner product")
-        total = 0.0 + 0.0j
-        for n in range(max(self.n_max, other.n_max) + 1):
-            if n <= self.n_max and n <= other.n_max:
-                total += _weighted_inner(self.grid, self.components[n],
-                                         other.components[n])
-        return total
+        return sum((_weighted_inner(self.grid, a, b)
+                    for a, b in zip(self.components, other.components)), 0j)
 
     def scaled(self, factor):
         return FockVector(self.grid, [factor * c for c in self.components])
 
     def add(self, other):
-        if other.grid != self.grid:
-            raise GridError("grid mismatch in vector sum")
-        top = max(self.n_max, other.n_max)
-        return FockVector(self.grid, [self.component(n) + other.component(n)
-                                      for n in range(top + 1)])
+        return self._levelwise(np.add, other)
 
     def sub(self, other):
-        return self.add(other.scaled(-1.0))
+        return self._levelwise(np.subtract, other)
+
+    def _levelwise(self, op, other):
+        """op levelwise: self's extra levels are shared, other's become op(0, y)."""
+        if other.grid != self.grid:
+            raise GridError("grid mismatch in vector sum")
+        a, b = self.components, other.components
+        return FockVector(self.grid, [op(x, y) for x, y in zip(a, b)] + list(a[len(b):])
+                          + [op(0, y) for y in b[len(a):]])
 
     def number_half_power(self, shift=0.0):
         """Apply (N + shift)^(1/2) levelwise."""
@@ -457,7 +462,7 @@ def poincare_apply(S, g, Phi):
     t = grid.nodes
     phase = np.exp(1j * m * (np.cosh(t) * g.x[0] - np.sinh(t) * g.x[1]))
     scale = max(Phi.norm(), 1e-300)
-    comps = [Phi.component(0).copy()]
+    comps = [Phi.component(0)]
     for n in range(1, Phi.n_max + 1):
         c = Phi.component(n)
         if shift != 0:
@@ -471,8 +476,9 @@ def poincare_apply(S, g, Phi):
                 raise SupportOverflowError(
                     f"boost shifts amplitude of size {lost_norm:.3e} "
                     f"off-grid at level {n}")
-        for axis in range(n):
-            c = c * _on_axes(phase, n, axis)
+        c = c * _on_axes(phase, n, 0)
+        for axis in range(1, n):
+            c *= _on_axes(phase, n, axis)
         comps.append(c)
     return FockVector(grid, comps)
 
@@ -496,22 +502,14 @@ def _shift_axis(c, axis, shift):
 
 def reflect_j(Phi):
     """TCP-style reflection: reverse slot order and conjugate."""
-    comps = []
-    for n, c in enumerate(Phi.components):
-        comps.append(np.conj(np.transpose(c, axes=tuple(range(n - 1, -1, -1)))
-                             if n else c))
-    return FockVector(Phi.grid, comps)
+    return FockVector(Phi.grid, [np.conj(c.T, order="C")
+                                 for c in Phi.components])
 
 
 def reflect_gamma(Phi):
     """Time reflection: mirror every rapidity index and conjugate."""
-    comps = []
-    for n, c in enumerate(Phi.components):
-        out = np.conj(c)
-        for axis in range(n):
-            out = np.flip(out, axis=axis)
-        comps.append(out)
-    return FockVector(Phi.grid, comps)
+    return FockVector(Phi.grid, [np.conj(np.flip(c), order="C")
+                                 for c in Phi.components])
 
 
 def modular_boost(S, t, Phi):

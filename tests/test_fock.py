@@ -49,6 +49,59 @@ def test_grid_invariants(grid41):
         wq.RapidityGrid(6.0, 40)   # even count
 
 
+def test_vectors_own_their_arrays(grid7, rng):
+    # a C-ordered complex array is held as given and frozen
+    held = [np.asarray(1.0 + 0j), rand_tensor(grid7, 1, rng),
+            rand_tensor(grid7, 2, rng)]
+    Phi = FockVector(grid7, held)
+    psi = wq.WaveFunction1(grid7, held[1])
+    for given, kept in zip(held + [held[1]], Phi.components + (psi.values,)):
+        assert np.shares_memory(given, kept)
+        assert not given.flags.writeable
+    # a transposed or real array is copied into a C-ordered complex one
+    others = [np.asarray(2.0), rng.standard_normal(7), rand_tensor(grid7, 2, rng).T]
+    Psi = FockVector(grid7, others)
+    phi = wq.WaveFunction1(grid7, others[1])
+    for given, kept in zip(others + [others[1]], Psi.components + (phi.values,)):
+        assert not np.shares_memory(given, kept)
+        assert given.flags.writeable
+        assert kept.flags.c_contiguous and not kept.flags.writeable
+        assert kept.dtype == complex
+        np.testing.assert_array_equal(kept, given)
+
+
+def test_add_sub_between_unequal_truncations(shg, grid7, rng):
+    short = wq.random_fock(shg, grid7, 1, rng)
+    long = wq.random_fock(shg, grid7, 3, rng)
+
+    def padded(Phi):
+        return [Phi.component(n) for n in range(long.n_max + 1)]
+
+    for a, b in ((short, long), (long, short)):
+        for result, op in ((a.add(b), np.add), (a.sub(b), np.subtract)):
+            assert result.n_max == long.n_max
+            for got, x, y in zip(result.components, padded(a), padded(b)):
+                np.testing.assert_array_equal(got, op(x, y))
+    # a level only self has is shared as it is
+    for result in (long.add(short), long.sub(short)):
+        for n in range(short.n_max + 1, long.n_max + 1):
+            assert result.components[n] is long.components[n]
+
+
+def test_inner_products_check_the_grid(shg, grid21, rng):
+    ones = wq.WaveFunction1(grid21, np.ones(21))
+    for other_grid in (wq.RapidityGrid(3.0, 21), wq.RapidityGrid(6.0, 11)):
+        other = wq.WaveFunction1(other_grid, np.ones(other_grid.count))
+        for a, b in ((ones, other), (other, ones)):
+            with pytest.raises(GridError):
+                a.inner(b)
+        Phi = wq.random_fock(shg, grid21, 1, rng)
+        Psi = wq.random_fock(shg, other_grid, 1, rng)
+        for a, b in ((Phi, Psi), (Psi, Phi)):
+            with pytest.raises(GridError):
+                a.inner(b)
+
+
 def test_apply_dn_against_oracle(shg, rng):
     grid = wq.RapidityGrid(2.0, 5)
     f = rand_tensor(grid, 3, rng)
@@ -246,6 +299,7 @@ def test_boost_past_the_whole_grid(shg, grid21, rng):
 
 
 def test_reflections(catalogue, grid21, rng):
+    c = 0.3 - 0.7j
     for S in catalogue.values():
         Phi = wq.random_fock(S, grid21, 2, rng)
         assert wq.reflect_j(wq.reflect_j(Phi)).sub(Phi).norm() == 0
@@ -253,9 +307,16 @@ def test_reflections(catalogue, grid21, rng):
         jg = wq.reflect_j(wq.reflect_gamma(Phi))
         gj = wq.reflect_gamma(wq.reflect_j(Phi))
         assert jg.sub(gj).norm() == 0
+        # antilinear on every level, the vacuum coefficient included
+        for reflect in (wq.reflect_j, wq.reflect_gamma):
+            lhs = reflect(Phi.scaled(c))
+            rhs = reflect(Phi).scaled(np.conj(c))
+            assert lhs.sub(rhs).norm() <= 1e-14 * Phi.norm()
     om = FockVector.vacuum(grid21)
     assert wq.reflect_j(om).sub(om).norm() == 0
     assert wq.reflect_gamma(om).sub(om).norm() == 0
+    for reflect in (wq.reflect_j, wq.reflect_gamma):
+        assert reflect(om.scaled(c)).sub(om.scaled(np.conj(c))).norm() == 0
 
 
 def test_reflections_commute_with_symmetrizer(shg, grid7, rng):
