@@ -19,17 +19,16 @@ from .fock import (FockVector, PoincareElement, RapidityGrid, WaveFunction1,
 from .fields import (Bump1D, Bump2D, Gaussian1D, Gaussian2D, field_phi,
                      field_phi_prime, in_wedge, mass_shell,
                      nonlocality_witness, sample_mass_shell, timezero_field)
-from .locality import (eval_b, eval_c, refinement_study,
-                       verify_contour_identity, verify_operator_commutator)
+from .locality import (refinement_study, verify_contour_identity,
+                       verify_operator_commutator)
 from .nuclearity import (KernelOperator, analytic_trace_bound, find_s_min,
-                         free_bose_bound, ising_fermi_bound,
-                         modular_trace_norm, partition_bound, sigma,
-                         singular_values, sqrt_factorial_series,
-                         trace_norm_estimate, xi_bound_distal)
+                         free_bose_bound, modular_trace_norm, partition_bound,
+                         sigma, singular_values, trace_norm_estimate,
+                         xi_bound_distal)
 from .scattering import (OrderedWavePacket, in_state, moller_multiplier,
                          out_state, random_ordered_packet, recover_smatrix,
                          smatrix_factor)
 from .sfunction import (ScatteringFunction, build_model, evaluate, kappa,
-                        phase_shift, strip_sup_norm, verify_relations, y_phase)
+                        strip_sup_norm, verify_relations)
 
 __version__ = "0.1.0"

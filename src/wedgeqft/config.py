@@ -96,7 +96,7 @@ SCHEMA = {
     "grid": {
         "theta_max": (POSITIVE, 6.0),
         "count": (_integer(3, odd=True), 41),
-        "n_max": (_integer(1, most=6), 3),
+        "n_max": (_integer(1, most=N_HARD_CAP), 3),
     },
     "locality": {
         "grid_count": (_integer(3, odd=True), 81),

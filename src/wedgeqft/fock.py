@@ -218,11 +218,6 @@ def apply_dn(S, perm, psi_n, grid):
     return out
 
 
-def compose(p, q):
-    """Composition p after q: (p o q)[k] = p[q[k]]."""
-    return tuple(p[q[k]] for k in range(len(p)))
-
-
 def _insert(M, t, a=0):
     """Sum over k >= a of slot a of ``t`` moved to slot k, with the twist.
 

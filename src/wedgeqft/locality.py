@@ -59,27 +59,6 @@ def _line_integral(S, psi1_vals, psi2_vals, nodes, weights, thetas, flip,
     return value, tail
 
 
-def eval_b(S, psi1, psi2, thetas, window=WINDOW_DEFAULT, order=ORDER_DEFAULT):
-    """B_n = + \\int psi1(t) psi2(t) prod_j S2(t - theta_j) dt.
-
-    ``psi1`` and ``psi2`` are callables on (complex) rapidity, typically
-    mass-shell restrictions.  Raises :class:`TailError` when the integrand
-    over the outer band of the window is not negligible against B_n.
-    """
-    t, w = _gl_line(window, order)
-    value, tail = _line_integral(S, psi1(t), psi2(t), t, w, thetas, flip=False)
-    _check_tail(value, tail)
-    return value
-
-
-def eval_c(S, psi1, psi2, thetas, window=WINDOW_DEFAULT, order=ORDER_DEFAULT):
-    """C_n = - \\int psi1(t) psi2(t) prod_j S2(theta_j - t) dt."""
-    t, w = _gl_line(window, order)
-    value, tail = _line_integral(S, psi1(t), psi2(t), t, w, thetas, flip=True)
-    _check_tail(value, tail)
-    return -value
-
-
 def _check_tail(value, tail):
     if tail > TAIL_TOL * max(abs(value), RESIDUAL_FLOOR):
         raise TailError(

@@ -254,16 +254,6 @@ def _bound_factor(S, s, kap, trace_norm, pauli):
     return x
 
 
-def sqrt_factorial_series(x):
-    """sum_{n>=0} x^n / sqrt(n!) to relative tail below 1e-12.
-
-    Returns inf when the (always finite) sum exceeds double range; use
-    :func:`log_sqrt_factorial_series` in that regime.
-    """
-    lv = log_sqrt_factorial_series(x)
-    return math.exp(lv) if lv < 709.0 else math.inf
-
-
 def log_sqrt_factorial_series(x):
     """log of sum_{n>=0} x^n / sqrt(n!), in memory that does not grow with x.
 
@@ -373,11 +363,6 @@ def free_bose_bound(s, mass=1.0, nodes=NODES_DEFAULT):
                           max_singular_pi=top_pi,
                           trace_phi=float(sv_phi.sum()),
                           trace_pi=float(sv_pi.sum()))
-
-
-def ising_fermi_bound(s, mass=1.0, nodes=NODES_DEFAULT):
-    """exp(2 ||T_phi||_1 + 2 ||T_pi||_1): always finite."""
-    return free_bose_bound(s, mass=mass, nodes=nodes).exp_bound
 
 
 @dataclass(frozen=True)

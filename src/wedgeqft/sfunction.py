@@ -8,8 +8,8 @@ in the half-strip 0 < Im(beta) <= pi/2 of the rapidity plane:
 On the real line S2 is a phase and satisfies unitarity, crossing and
 hermitian analyticity; these identities are what :func:`verify_relations`
 samples.  The derived quantities computed here (analyticity margin of the
-zero set, sup norm on an enlarged strip, phase shift, pair-exchange phase
-products) feed the locality and nuclearity checks downstream.
+zero set, sup norm on an enlarged strip, node matrices) feed the Fock,
+locality and nuclearity checks downstream.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, ModelError, PoleProximityError, StripError
+from .errors import ModelError, PoleProximityError, StripError
 
 HALF_PI = math.pi / 2
 
@@ -215,62 +215,6 @@ def strip_sup_norm(S, kap):
             options={"xatol": 1e-12})
         best = max(best, -float(res.fun))
     return best
-
-
-def phase_shift(S, zeta):
-    """Phase shift delta with S2(z) = S2(0) exp(2*i*delta(z)), delta(0) = 0.
-
-    The branch is tracked continuously along the path 0 -> Re(z) -> z;
-    steps are refined adaptively until each log increment is unambiguous,
-    and :class:`ConvergenceError` is raised when 2^21 steps on one leg
-    still leave it ambiguous.  delta is odd and real on the real line.
-    Points outside the open strip |Im z| < kappa(S) are rejected.
-    """
-    z = complex(zeta)
-    if abs(z.imag) >= kappa(S):
-        raise StripError(
-            f"zeta={z} outside the analyticity strip |Im| < {kappa(S)}")
-
-    s0 = evaluate(S, 0.0)
-
-    def g(w):
-        return evaluate(S, w) / s0
-
-    total = 0.0 + 0.0j
-    for start, end in ((0.0 + 0.0j, complex(z.real, 0.0)),
-                       (complex(z.real, 0.0), z)):
-        if end == start:
-            continue
-        n = 8
-        while True:
-            pts = start + (end - start) * np.arange(n + 1) / n
-            vals = g(pts)
-            ratios = vals[1:] / vals[:-1]
-            # |log ratio| < 0.5 keeps the principal branch unambiguous
-            if np.max(np.abs(np.log(ratios))) < 0.5:
-                total += np.sum(np.log(ratios))
-                break
-            if n > 2 ** 20:
-                raise ConvergenceError(
-                    f"phase_shift branch still ambiguous on {start} -> {end} "
-                    f"after {n} subdivisions")
-            n *= 2
-    return total / 2j
-
-
-def y_phase(S, sign, zetas):
-    """Product of pair-exchange phases prod_{k<l} sign * exp(i*delta(z_k - z_l)).
-
-    For n <= 1 the empty product is 1.  Real inputs give a unimodular value.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    zs = [complex(z) for z in zetas]
-    out = 1.0 + 0.0j
-    for k in range(len(zs)):
-        for l in range(k + 1, len(zs)):
-            out *= sign * cmath.exp(1j * phase_shift(S, zs[k] - zs[l]))
-    return out
 
 
 def node_matrix(S, grid):

@@ -468,6 +468,23 @@ def test_cli_nonconvergence_exit3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "raised").exists()
 
 
+def test_scattering_verdict_covers_the_origin(monkeypatch):
+    # S2(0) off +-1 by 1e-9 with exact relations: the suite must fail, and
+    # its summary must carry the same verdict
+    from wedgeqft import sfunction, suites
+    exact = sfunction.evaluate
+
+    def nudged(S, z):
+        return exact(S, z) + 1e-9 if isinstance(z, float) else exact(S, z)
+
+    monkeypatch.setattr(sfunction, "evaluate", nudged)
+    res = suites.verify_scattering(load_config("catalogue:free"), None)
+    assert max(res.summary[k] for k in ("unitarity", "symmetry", "crossing",
+                                        "modulus")) <= 1e-12
+    assert res.passed is False
+    assert res.summary["passed"] is False
+
+
 def test_cli_suite_failure_exit1(tmp_path, capsys, monkeypatch):
     # force a failure by tightening a tolerance far below reachable
     wedge_pair = ("[testfunction.f]\nkind = bump\nbox = -0.2, 0.22, 0.5, 1.2\n"

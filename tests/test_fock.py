@@ -10,11 +10,15 @@ import wedgeqft as wq
 from oracles import create_via_projection, symmetrize_by_permutations
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
-from wedgeqft.fock import (FockVector, compose, dn_law_residuals,
-                           _weighted_inner)
+from wedgeqft.fock import FockVector, dn_law_residuals, _weighted_inner
 from wedgeqft.sfunction import evaluate
 
 HALF_PI = math.pi / 2
+
+
+def compose(p, q):
+    """Composition p after q: (p o q)[k] = p[q[k]]."""
+    return tuple(p[q[k]] for k in range(len(p)))
 
 
 def dn_oracle(S, perm, f, grid):

@@ -21,37 +21,46 @@ def restriction(S, f, sign):
     return lambda z: wq.mass_shell(f, sign, z, mass=S.mass)
 
 
+def contour_samples(S, f, g, n, spectators, order=locality.ORDER_DEFAULT):
+    """(B, C) per spectator tuple, as the verify-locality rows compute them."""
+    return [(B, C) for _, B, C in locality._contour_samples(
+        S, f, g, n, spectators, locality.WINDOW_DEFAULT, order)]
+
+
+def line_integral(S, psi1, psi2, thetas, flip):
+    """Value and tail estimate on the default line for arbitrary integrands."""
+    t, w = locality._gl_line(locality.WINDOW_DEFAULT, locality.ORDER_DEFAULT)
+    return locality._line_integral(S, psi1(t), psi2(t), t, w, thetas, flip)
+
+
 def test_eval_b_n0_is_plain_overlap(shg, wedge_pair):
     f, g = wedge_pair
-    fm = restriction(shg, f, -1)
-    gp = restriction(shg, g, +1)
-    got = wq.eval_b(shg, fm, gp, [])
-    # independent straight quadrature of the overlap
+    [(B, C)] = contour_samples(shg, f, g, 0, [()])
+    # independent straight quadrature of the two overlaps
     t, w = np.polynomial.legendre.leggauss(400)
     t, w = 8 * t, 8 * w
-    want = np.sum(fm(t) * gp(t) * w)
-    assert abs(got - want) < 1e-13 + 1e-7 * abs(want)
-    assert abs(wq.eval_c(shg, fm, gp, []) + got) < 1e-15
+    for got, sign in ((B, -1), (-C, +1)):
+        want = np.sum(restriction(shg, f, sign)(t)
+                      * restriction(shg, g, -sign)(t) * w)
+        assert abs(got - want) < 1e-13 + 1e-7 * abs(want)
 
 
 def test_eval_b_free_spectator_independent(free, wedge_pair, rng):
     f, g = wedge_pair
-    fm = restriction(free, f, -1)
-    gp = restriction(free, g, +1)
-    base = wq.eval_b(free, fm, gp, [])
+    [base] = contour_samples(free, f, g, 0, [()])
     for n in (1, 2, 3):
-        spect = rng.uniform(-2, 2, n)
-        assert abs(wq.eval_b(free, fm, gp, spect) - base) < 1e-14
+        [got] = contour_samples(free, f, g, n, [tuple(rng.uniform(-2, 2, n))])
+        for x, y in zip(got, base):
+            assert abs(x - y) < 1e-14
 
 
 def test_eval_b_refinement_oracle(shg, wedge_pair, rng):
     f, g = wedge_pair
-    fm = restriction(shg, f, -1)
-    gp = restriction(shg, g, +1)
-    spect = rng.uniform(-2, 2, 2)
-    coarse = wq.eval_b(shg, fm, gp, spect, order=512)
-    fine = wq.eval_b(shg, fm, gp, spect, order=2048)
-    assert abs(coarse - fine) < 1e-14 + 1e-6 * abs(fine)
+    spect = [tuple(rng.uniform(-2, 2, 2))]
+    [coarse] = contour_samples(shg, f, g, 2, spect, order=512)
+    [fine] = contour_samples(shg, f, g, 2, spect, order=2048)
+    for x, y in zip(coarse, fine):
+        assert abs(x - y) < 1e-14 + 1e-6 * abs(y)
 
 
 def test_c_is_minus_conjugate_of_b(shg, wedge_pair, rng):
@@ -61,27 +70,25 @@ def test_c_is_minus_conjugate_of_b(shg, wedge_pair, rng):
     psi1c = lambda z: np.conj(psi1(np.conj(z)))
     psi2c = lambda z: np.conj(psi2(np.conj(z)))
     spect = rng.uniform(-2, 2, 2)
-    C = wq.eval_c(shg, psi1, psi2, spect)
-    B = wq.eval_b(shg, psi1c, psi2c, spect)
+    C = -line_integral(shg, psi1, psi2, spect, flip=True)[0]
+    B = line_integral(shg, psi1c, psi2c, spect, flip=False)[0]
     assert abs(C + np.conj(B)) < 1e-13 * max(abs(B), 1e-10)
 
 
 def test_tail_in_outer_band_raises(free):
     # large on [7.4, 7.98] inside the window 8, but zero at its end nodes
     bump = wq.Bump1D(7.69, 0.29)
+    value, tail = line_integral(free, bump, np.ones_like, [], flip=False)
     with pytest.raises(TailError):
-        wq.eval_b(free, bump, np.ones_like, [])
+        locality._check_tail(value, tail)
 
 
 def test_ising_n1_sign_flip(ising, wedge_pair):
     f, g = wedge_pair
-    fm = restriction(ising, f, -1)
-    gp = restriction(ising, g, +1)
-    b0 = wq.eval_b(ising, fm, gp, [])
-    b1 = wq.eval_b(ising, fm, gp, [0.7])
-    c1 = wq.eval_c(ising, fm, gp, [0.7])
+    [(b0, c0)] = contour_samples(ising, f, g, 0, [()])
+    [(b1, c1)] = contour_samples(ising, f, g, 1, [(0.7,)])
     assert abs(b1 + b0) < 1e-14          # single factor -1
-    assert abs(c1 - b0) < 1e-14
+    assert abs(c1 + c0) < 1e-14
 
 
 def test_contour_identity_catalogue(catalogue, wedge_pair, rng):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
-from wedgeqft.errors import (ConvergenceError, ModelError, PoleProximityError,
-                             StripError)
+from wedgeqft.errors import ModelError, PoleProximityError, StripError
 from wedgeqft.sfunction import ScatteringFunction
 
 HALF_PI = math.pi / 2
@@ -170,46 +168,6 @@ def test_strip_sup_norm_domain(resonance):
         wq.strip_sup_norm(resonance, math.pi / 4)    # kappa == kappa(S)
     with pytest.raises(StripError):
         wq.strip_sup_norm(wq.build_model(+1, a=1.0), 0.3)
-
-
-def test_phase_shift_normalization_and_oddness(shg, ising):
-    assert wq.phase_shift(shg, 0.0) == 0
-    assert abs(wq.phase_shift(ising, 1.3)) < 1e-14
-    d1 = wq.phase_shift(shg, 1.0)
-    assert abs(d1.imag) < 1e-12
-    assert abs(wq.phase_shift(shg, -1.0) + d1) < 1e-12
-    # branch-tracked: e^{2 i delta} = S2(z)/S2(0)
-    for z in (1.0, -2.3, 0.4 + 0.3j):
-        lhs = cmath.exp(2j * wq.phase_shift(shg, z))
-        rhs = wq.evaluate(shg, z) / wq.evaluate(shg, 0.0)
-        assert abs(lhs - rhs) < 1e-12
-
-
-def test_phase_shift_raises_when_branch_stays_ambiguous():
-    # a zero 1e-7 off the real axis makes the phase jump within ~1e-7 of
-    # t = 0.3, finer than 2^21 steps over [0, 0.6] resolve
-    S = wq.build_model(-1, zeros=[0.3 + 1e-7j])
-    with pytest.raises(ConvergenceError):
-        wq.phase_shift(S, 0.6)
-
-
-def test_phase_shift_strip_violation(resonance):
-    with pytest.raises(StripError):
-        wq.phase_shift(resonance, 1.0 + 1j)
-
-
-def test_y_phase(shg, ising):
-    assert wq.y_phase(shg, +1, []) == 1
-    assert wq.y_phase(shg, -1, [0.7]) == 1
-    assert abs(wq.y_phase(ising, -1, [0.5, -0.3]) + 1) < 1e-14
-    val = wq.y_phase(shg, -1, [1.0, 0.0])
-    assert abs(abs(val) - 1) < 1e-12
-    assert abs(val + cmath.exp(1j * wq.phase_shift(shg, 1.0))) < 1e-12
-    # definition consistency at n = 2
-    z = (0.9, -0.4)
-    resid = wq.y_phase(shg, -1, z) * (-1) * cmath.exp(
-        -1j * wq.phase_shift(shg, z[0] - z[1]))
-    assert abs(resid - 1) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
