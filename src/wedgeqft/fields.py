@@ -2,10 +2,10 @@
 
 Two test-function families are supported: Gaussians with a general
 quadratic exponent (closed-form Fourier transform, closed under Poincare
-maps, used for covariance and scattering checks) and smooth compactly
-supported bumps (Fourier transform by Gauss-Legendre quadrature over the
-support box; genuine support restriction, used wherever wedge membership
-matters).
+maps, used for the covariance, adjointness and field-bound identities)
+and smooth compactly supported bumps (Fourier transform by
+Gauss-Legendre quadrature over the support box; genuine support
+restriction, used wherever wedge membership matters).
 
 Fourier convention: ft(p) = (1/2pi) \\int f(x) e^{i p.x} d^2x with the
 Minkowski pairing p.x = p0 x0 - p1 x1.  The mass-shell restrictions are

@@ -13,13 +13,12 @@ states are normalized as sqrt(n!) P_n(psi_1 x ... x psi_n), and
 Phi+ is the plain-symmetrized packet and S_n the multiplier below.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OrderingError, TruncationCapError
-from .fock import FockVector, N_HARD_CAP, WaveFunction1, _on_axes, create
+from .fock import FockVector, N_HARD_CAP, WaveFunction1, create
 from .sfunction import evaluate
 
 
@@ -29,30 +28,29 @@ class OrderedWavePacket:
 
     Supports are read off the nonzero grid amplitudes; each must end at
     least two nodes before the next begins (one empty node in between), so
-    that cross inner products vanish exactly.
+    that cross inner products vanish exactly.  ``supports`` keeps each
+    wave's nonzero node indices, ascending.
     """
 
     waves: tuple
+    supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         waves = tuple(self.waves)
         if not waves:
             raise OrderingError("empty wave packet")
-        grid = waves[0].grid
-        prev_hi = None
-        for k, psi in enumerate(waves):
-            if psi.grid != grid:
+        supports = tuple(np.flatnonzero(psi.values) for psi in waves)
+        for k, (psi, idx) in enumerate(zip(waves, supports)):
+            if psi.grid != waves[0].grid:
                 raise OrderingError("all packet entries must share one grid")
-            idx = np.nonzero(np.abs(psi.values) > 0)[0]
             if idx.size == 0:
                 raise OrderingError(f"packet entry {k} vanishes identically")
-            lo, hi = int(idx[0]), int(idx[-1])
-            if prev_hi is not None and lo <= prev_hi + 1:
+            if k and idx[0] <= supports[k - 1][-1] + 1:
                 raise OrderingError(
                     f"supports of entries {k - 1} and {k} are not separated "
                     "by an empty node")
-            prev_hi = hi
         object.__setattr__(self, "waves", waves)
+        object.__setattr__(self, "supports", supports)
 
     @property
     def grid(self):
@@ -94,18 +92,6 @@ def smatrix_factor(S, thetas):
         for l in range(k + 1, len(ts)):
             out = out * evaluate(S, np.abs(ts[k] - ts[l]))
     return out
-
-
-@lru_cache(maxsize=16)
-def smatrix_tensor(S, grid, n):
-    """smatrix_factor evaluated at every node tuple (cached per model).
-
-    The tensor is a read-only view of shape ``(N,) * n``; for n < 2 it
-    broadcasts the empty product 1.
-    """
-    t = grid.nodes
-    out = smatrix_factor(S, [_on_axes(t, n, k) for k in range(n)])
-    return np.broadcast_to(out, (grid.count,) * n)
 
 
 def _sorting_perm(thetas, descending=False):
@@ -154,14 +140,15 @@ def overlap_oracle(S, packet):
 
     The disjoint supports make the cross terms of |Phi+|^2 vanish
     pointwise, and total symmetry of the multiplier makes all n! diagonal
-    terms equal.  That leaves one contraction of the multiplier tensor
-    against the per-particle weight densities.
+    terms equal.  That leaves one contraction of the multiplier against
+    the per-particle weight densities, which vanish off the supports, so
+    both are evaluated on the product of the supports alone.
     """
     grid = packet.grid
-    n = len(packet)
-    dens = np.conj(smatrix_tensor(S, grid, n))
-    for k, psi in enumerate(packet.waves):
-        dens = dens * _on_axes(grid.weights * np.abs(psi.values) ** 2, n, k)
+    mesh = np.ix_(*packet.supports)
+    dens = np.conj(smatrix_factor(S, [grid.nodes[i] for i in mesh]))
+    for i, psi in zip(mesh, packet.waves):
+        dens = dens * (grid.weights[i] * np.abs(psi.values[i]) ** 2)
     return complex(dens.sum())
 
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import fock, locality, nuclearity, scattering, sfunction
+from .errors import ModelError
 from .fields import nonlocality_witness
 from .fock import PoincareElement, RapidityGrid
 
@@ -243,8 +244,15 @@ def find_smin_suite(cfg, rng):
     return SuiteResult(summary["in_expected_range"], summary, rows)
 
 
+def _is_constant(S, epsilon):
+    """Whether S2 is identically epsilon: no zeros and a = 0."""
+    return S.epsilon == epsilon and not S.zeros and S.a == 0.0
+
+
 def free_bose(cfg, rng):
     S = cfg.model
+    if not _is_constant(S, +1):
+        raise ModelError("free-bose describes only S2 = +1 (no zeros, a = 0)")
     rows = []
     ok = True
     for s in np.linspace(cfg.nuclearity.s_min, cfg.nuclearity.s_max,
@@ -267,6 +275,8 @@ def free_bose(cfg, rng):
 
 def ising_fermi(cfg, rng):
     S = cfg.model
+    if not _is_constant(S, -1):
+        raise ModelError("ising-fermi describes only S2 = -1 (no zeros, a = 0)")
     rows = []
     ok = True
     for s in np.linspace(cfg.nuclearity.s_min, cfg.nuclearity.s_max,
@@ -360,19 +370,24 @@ SUITES = {
 def suites_for_all(cfg):
     """The 'all' selection, adapted to the model class.
 
-    The fermionic extras need S2(0) = -1; the free-Bose determinant is the
-    free model's special case.  The distal-distance search runs only on
-    models with zeros: on a constant one s_min is a function of the mass
-    and kappa alone (1.805 at unit mass and kappa = pi/4).
+    The five bound suites need the strip sup norm, which is finite only
+    for a = 0.  The fermionic extras need S2(0) = -1; the free-Bose and
+    Ising determinants describe S2 = +1 and S2 = -1 alone.  The
+    distal-distance search runs only on models with zeros: on a constant
+    one s_min is a function of the mass and kappa alone (1.805 at unit
+    mass and kappa = pi/4).
     """
     S = cfg.model
     names = ["verify-scattering", "verify-algebra", "verify-locality",
-             "smatrix", "nuclearity-curve"]
+             "smatrix"]
+    if S.a != 0.0:
+        return names
+    names.append("nuclearity-curve")
     if S.zeros:
         names.append("find-smin")
-    if S.epsilon == +1 and not S.zeros:
+    if _is_constant(S, +1):
         names.append("free-bose")
-    if S.epsilon == -1 and not S.zeros:
+    if _is_constant(S, -1):
         names.append("ising-fermi")
     if S.epsilon == -1:
         names.append("partition")

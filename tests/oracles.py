@@ -14,9 +14,8 @@ import numpy as np
 from scipy.special import gammaln
 
 import wedgeqft as wq
-from wedgeqft.fock import FockVector
+from wedgeqft.fock import FockVector, _on_axes
 from wedgeqft.nuclearity import _nystrom_matrix
-from wedgeqft.scattering import smatrix_tensor
 
 
 def symmetrize_by_permutations(S, psi_n, grid):
@@ -68,6 +67,17 @@ def plain_symmetrized_product(waves):
             term = np.multiply.outer(term, vals[perm[k]])
         acc += term
     return acc / math.sqrt(math.factorial(n))
+
+
+def smatrix_tensor(S, grid, n):
+    """smatrix_factor evaluated at every node tuple of the grid.
+
+    The tensor is a read-only view of shape ``(N,) * n``; for n < 2 it
+    broadcasts the empty product 1.
+    """
+    t = grid.nodes
+    out = wq.smatrix_factor(S, [_on_axes(t, n, k) for k in range(n)])
+    return np.broadcast_to(out, (grid.count,) * n)
 
 
 def overlap_literal(S, packet):

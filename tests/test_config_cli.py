@@ -184,15 +184,23 @@ def test_readme_config_example_loads(tmp_path):
 
 
 @pytest.mark.parametrize("name,extras", [
-    ("free", ["free-bose"]),
-    ("ising", ["ising-fermi", "partition"]),
-    ("shg-b050", ["find-smin", "partition"]),
-    ("resonance-pi4", ["find-smin", "partition"]),
+    ("free", ["nuclearity-curve", "free-bose"]),
+    ("ising", ["nuclearity-curve", "ising-fermi", "partition"]),
+    ("shg-b050", ["nuclearity-curve", "find-smin", "partition"]),
+    ("resonance-pi4", ["nuclearity-curve", "find-smin", "partition"]),
+    # a > 0 has an infinite strip sup norm, so no bound suite applies
+    ("free a=0.5", []),
+    ("ising a=0.5", []),
+    ("shg-b050 a=0.5", []),
+    ("shg-b050 a=0.5 epsilon=1", []),
 ])
 def test_all_selection_per_catalogue_model(name, extras):
-    common = ["verify-scattering", "verify-algebra", "verify-locality",
-              "smatrix", "nuclearity-curve"]
-    assert suites_for_all(load_config(f"catalogue:{name}")) == common + extras
+    # NAME, then [model] settings that override the catalogue's
+    model, *settings = name.split()
+    cfg = load_config(f"catalogue:{model}",
+                      overrides=[f"model.{s}" for s in settings])
+    assert suites_for_all(cfg) == ["verify-scattering", "verify-algebra",
+                                   "verify-locality", "smatrix", *extras]
 
 
 def test_warm_caches_leave_bound_reports_unchanged(tmp_path, capsys):
@@ -510,6 +518,22 @@ def test_cli_suite_failure_exit1(tmp_path, capsys, monkeypatch):
     assert err["message"].startswith("f box ")
     assert err["message"].endswith(" not inside W_R")
     assert not (tmp_path / "swapped").exists()
+
+
+@pytest.mark.parametrize("suite,model", [("free-bose", "shg-b050"),
+                                         ("free-bose", "ising"),
+                                         ("ising-fermi", "free"),
+                                         ("ising-fermi", "resonance-pi4")])
+def test_free_field_suites_refuse_other_models(suite, model, tmp_path, capsys):
+    # each suite reports the bound of one free model; on another model a
+    # PASS would carry that bound under the wrong name
+    code = main([suite, "--config", f"catalogue:{model}",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "suite-error"
+    assert err["message"].startswith(f"{suite} describes only")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_determinism(tmp_path, capsys):

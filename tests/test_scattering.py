@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
-from oracles import overlap_literal, state_via_projection
+from oracles import overlap_literal, smatrix_tensor, state_via_projection
 from wedgeqft.errors import OrderingError
 from wedgeqft.fock import WaveFunction1
-from wedgeqft.scattering import overlap_oracle, smatrix_tensor
+from wedgeqft.scattering import overlap_oracle
 
 
 def block_wave(grid, lo, hi, rng):
@@ -126,13 +126,26 @@ def test_smatrix_tensor_is_factor_at_node_tuples(catalogue, grid21, rng):
                            - wq.smatrix_factor(S, t[idx])) < 1e-14
 
 
-def test_overlap_oracle_reduced_matches_literal(catalogue, grid41, rng):
+def test_overlap_oracle_reduced_matches_literal(catalogue, grid21, grid41, rng):
     for S in catalogue.values():
-        for n in (2, 3):
-            packet = wq.random_ordered_packet(grid41, n, rng)
+        for grid, n in ((grid41, 2), (grid41, 3), (grid21, 4)):
+            packet = wq.random_ordered_packet(grid, n, rng)
             fast = overlap_oracle(S, packet)
             slow = overlap_literal(S, packet)
             assert abs(fast - slow) < 1e-12
+
+
+def test_overlap_oracle_support_with_gap(catalogue, grid21, rng):
+    # an exact zero inside the first wave's support: the support is every
+    # nonzero node, not the span between the outermost ones
+    gapped = block_wave(grid21, 1, 6, rng).values.copy()
+    gapped[3] = 0.0
+    packet = wq.OrderedWavePacket((WaveFunction1(grid21, gapped),
+                                   block_wave(grid21, 8, 12, rng),
+                                   block_wave(grid21, 14, 18, rng)))
+    assert packet.supports[0].tolist() == [1, 2, 4, 5]
+    for S in catalogue.values():
+        assert abs(overlap_oracle(S, packet) - overlap_literal(S, packet)) < 1e-12
 
 
 def test_recover_smatrix(catalogue, grid41):
