@@ -1,15 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import wedgeqft as wq
+from wedgeqft.config import load_config
 from wedgeqft.errors import ConvergenceError, QuadratureOverflowError
-from wedgeqft.fields import (ORDER_CAP, _auto_order, field_norm_scale,
+from wedgeqft.fields import (ORDER_CAP, _auto_order, _bump_profile,
+                             _bump_transform, field_norm_scale,
                              sample_mass_shell, timezero_samples)
 from wedgeqft.fock import FockVector
+from wedgeqft.quadrature import gauss_legendre
+
+BUMP_INTEGRAL = 0.44399381616807943782   # \int_{-1}^{1} g, from mpmath
+BUMP_TARGET = 1e-13                      # stated accuracy, in units of \int g
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +68,80 @@ def test_half_period_contour_identity(bump):
     lhs = wq.mass_shell(bump, +1, t - 1j * math.pi)
     rhs = wq.mass_shell(bump, -1, t.astype(complex))
     assert_allclose(lhs, rhs, atol=1e-14)
+
+
+def test_half_period_identity_on_catalogue_line():
+    # the Im t = pi line carries Im p ~ 1e-16 |p| from sin(pi), so it runs
+    # the complex fold; both factors of each value stay within the target
+    cfg = load_config("catalogue:shg-b050")
+    u, _ = gauss_legendre(cfg.locality.order)
+    t = cfg.locality.window * u
+    for name in ("f", "g"):
+        f = cfg.testfunction(name)
+        h0, h1 = f.half_width
+        scale = h0 * h1 * BUMP_INTEGRAL ** 2 / (2 * math.pi)
+        lhs = wq.mass_shell(f, +1, t - 1j * math.pi)
+        rhs = wq.mass_shell(f, -1, t.astype(complex))
+        assert np.max(np.abs(lhs - rhs)) <= 2 * BUMP_TARGET * scale
+
+
+@pytest.fixture(scope="module")
+def cosine_transforms():
+    """k -> the integral of g(u) cos(k u) over [-1, 1], to 20 digits."""
+    ks = (0, 0.5, 1, 3, 10, 30, 100, 300, 1000)
+
+    def integral(k):
+        # g(u) cos(k u) is even; split [0, 1] into pieces of ~10 radians
+        pieces = mpmath.linspace(0, 1, int(k / 10) + 2)
+        return 2 * float(mpmath.quad(
+            lambda u: mpmath.exp(-1 / (1 - u * u)) * mpmath.cos(k * u), pieces))
+
+    with mpmath.workdps(20):
+        return {k: integral(k) for k in ks}
+
+
+def test_bump_transform_against_mpmath(cosine_transforms):
+    # single-point and batched values both meet the target; the order-64
+    # rule misses it by 20x at k <= 1
+    ks = np.array(list(cosine_transforms))
+    want = np.array(list(cosine_transforms.values()))
+    assert abs(want[0] - BUMP_INTEGRAL) < 1e-18
+    alone = np.array([_bump_transform(k, 0.0, 1.0) for k in ks])
+    for got in (alone, _bump_transform(ks, 0.0, 1.0)):
+        assert np.max(np.abs(got - want)) <= BUMP_TARGET * BUMP_INTEGRAL
+
+
+def test_mass_shell_value_independent_of_batch():
+    # a value computed alone and inside the 2048-node locality line agree;
+    # BLAS blocking may still move the last bits
+    cfg = load_config("catalogue:shg-b050")
+    f = cfg.testfunction(cfg.locality.f)
+    u, _ = gauss_legendre(cfg.locality.order)
+    batch = wq.mass_shell(f, +1, np.append(cfg.locality.window * u, 0.3))
+    alone = wq.mass_shell(f, +1, [0.3])
+    assert abs(alone[0] - batch[-1]) <= 1e-14 * np.max(np.abs(batch))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-2000.0, 2000.0),
+       st.sampled_from(("real", "rounding", "complex")),
+       st.floats(-1.0, 1.0), st.floats(0.1, 1.0))
+def test_folded_transform_matches_unfolded_sum(re, imag, center, half_width):
+    # the fold and the real path against the plain complex sum over the
+    # whole rule at the next ladder order
+    im = {"real": 0.0, "rounding": 1e-16 * abs(re), "complex": 0.25}[imag]
+    p = complex(re, im)
+    u, w = gauss_legendre(2 * int(_auto_order(abs(p) * half_width)))
+    want = half_width * np.sum(_bump_profile(u) * w
+                               * np.exp(1j * p * (center + half_width * u)))
+    envelope = math.exp(im * (abs(center) + half_width))
+    got = _bump_transform(p, center, half_width)
+    assert abs(got - want) <= (BUMP_TARGET * half_width * BUMP_INTEGRAL
+                               * envelope)
+
+
+def test_mass_shell_of_empty_batch(bump):
+    assert wq.mass_shell(bump, +1, []).shape == (0,)
 
 
 def test_klein_gordon_symbol():
