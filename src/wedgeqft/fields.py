@@ -245,9 +245,10 @@ def in_wedge(box, which):
     return all(sign * x1 > abs(x0) for x0 in (a0, b0) for x1 in (a1, b1))
 
 
-def mass_shell(f, sign, zeta, mass=1.0):
+def mass_shell(f, sign, zeta, mass):
     """f^{+-}(z) = (1/2pi) \\int f(+-x) e^{i p(z).x} d^2x.
 
+    ``mass`` is the model's, ``S.mass``: no default stands in for it.
     Vectorized over ``zeta``; for bumps each value takes the quadrature
     order its own momentum needs, and at real rapidity each one-axis factor
     is within 1e-13 of the profile's integral.
@@ -260,8 +261,8 @@ def mass_shell(f, sign, zeta, mass=1.0):
     return f.fourier(sign * p0, sign * p1)
 
 
-def sample_mass_shell(f, sign, grid, mass=1.0):
-    """Mass-shell restriction sampled at the grid nodes."""
+def sample_mass_shell(f, sign, grid, mass):
+    """Mass-shell restriction at the grid nodes, for the model's mass."""
     vals = mass_shell(f, sign, grid.nodes.astype(complex), mass=mass)
     return WaveFunction1(grid, vals)
 
@@ -337,7 +338,7 @@ class Bump1D:
             np.sum(_bump_profile(u) ** 2 * w))
 
 
-def timezero_samples(f1d, grid, mass=1.0):
+def timezero_samples(f1d, grid, mass):
     """Mass-shell samples of a 1-D function: fhat(t) = ft(mass*sinh t)."""
     vals = f1d.fourier(mass * np.sinh(grid.nodes.astype(complex)))
     fhat = WaveFunction1(grid, vals)

@@ -10,15 +10,13 @@ cancellation, then repeat the statement at operator level on truncated
 vectors.
 
 The mass-shell restrictions f^{+-}, g^{+-} on a quadrature line do not
-depend on S2 or on the spectators, so each is computed once per (test
-function, sign, mass, window, order, line) and cached as a read-only
-array shared by every n, every refinement order that repeats a line and
-every model of the same mass.  A cached array holds exactly the values a
-fresh ``mass_shell`` call returns, so no result depends on what ran before.
+depend on S2 or on the spectators, so one contour check computes each of
+its six (four on the real line, f^- and g^+ on Im(t) = pi) once and
+shares it across all spectator tuples, whatever their length.  Nothing is
+kept between calls, so no result depends on what ran before.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -77,32 +75,22 @@ def _require_wedge_separation(f, g):
         raise WedgeQFTError(f"g box {g.support_box} not inside W_L")
 
 
-@lru_cache(maxsize=64)
-def _line_restriction(f, sign, mass, window, order, shift):
-    """f^{sign} at the ``order``-point nodes of [-window, window] + i*shift.
+def _contour_samples(S, f, g, spectators, window, order):
+    """(B, C) per spectator tuple on the real line, with tail checks.
 
-    The array is cached and shared, so it is read-only.
+    The tuples may differ in length; the four real-line restrictions are
+    computed once for all of them.
     """
-    t, _ = _gl_line(window, order)
-    vals = mass_shell(f, sign, t + 1j * shift if shift else t, mass=mass)
-    vals.flags.writeable = False
-    return vals
-
-
-def _contour_samples(S, f, g, n, spectators, window, order):
-    """(B, C) per spectator tuple on the real line, with tail checks."""
     if not spectators:
         raise ValueError("no spectator tuples: nothing would be checked")
     t, w = _gl_line(window, order)
-    fm_v = _line_restriction(f, -1, S.mass, window, order, 0.0)
-    gp_v = _line_restriction(g, +1, S.mass, window, order, 0.0)
-    fp_v = _line_restriction(f, +1, S.mass, window, order, 0.0)
-    gm_v = _line_restriction(g, -1, S.mass, window, order, 0.0)
+    fm_v = mass_shell(f, -1, t, mass=S.mass)
+    gp_v = mass_shell(g, +1, t, mass=S.mass)
+    fp_v = mass_shell(f, +1, t, mass=S.mass)
+    gm_v = mass_shell(g, -1, t, mass=S.mass)
     out = []
     for theta in spectators:
         theta = tuple(float(x) for x in theta)
-        if len(theta) != n:
-            raise ValueError(f"spectator tuple {theta} does not have length {n}")
         B, tail_b = _line_integral(S, fm_v, gp_v, t, w, theta, flip=False)
         C, tail_c = _line_integral(S, fp_v, gm_v, t, w, theta, flip=True)
         C = -C
@@ -125,45 +113,50 @@ class ContourReport:
     shift_relative: float
 
 
-def verify_contour_identity(S, f, g, n, spectators, window=WINDOW_DEFAULT,
+def verify_contour_identity(S, f, g, spectators, window=WINDOW_DEFAULT,
                             order=ORDER_DEFAULT, check_support=True):
     """Relative residuals of B_n(f-, g+) + C_n(f+, g-) = 0 over spectators.
 
-    ``f`` must be supported in the right wedge and ``g`` in the left one
-    (box-corner test).  Also measures the shift mechanism: moving the B
+    Each spectator tuple is one sample, with n its length; tuples of
+    different lengths may share one call.  ``f`` must be supported in the
+    right wedge and ``g`` in the left one (box-corner test).  Also measures
+    the shift mechanism at the first tuple of each length: moving the B
     integration line to Im(t) = pi must reproduce the same value.
     """
     if check_support:
         _require_wedge_separation(f, g)
     rows = []
     worst = 0.0
-    samples = _contour_samples(S, f, g, n, spectators, window, order)
+    samples = _contour_samples(S, f, g, spectators, window, order)
+    first = {}
     for theta, B, C in samples:
         rel = _relative_sum(B, C)
         worst = max(worst, rel)
-        rows.append({"n": n, "thetas": theta, "abs_b": abs(B), "abs_c": abs(C),
-                     "abs_sum": abs(B + C), "relative": rel})
+        rows.append({"n": len(theta), "thetas": theta, "abs_b": abs(B),
+                     "abs_c": abs(C), "abs_sum": abs(B + C), "relative": rel})
+        first.setdefault(len(theta), (theta, B))
 
-    # shift mechanism at the first sample: B computed on Im(t) = pi
+    # shift mechanism: B on Im(t) = pi at the first tuple of each length
     t, w = _gl_line(window, order)
-    theta0, B0, _ = samples[0]
-    fm_v = _line_restriction(f, -1, S.mass, window, order, math.pi)
-    gp_v = _line_restriction(g, +1, S.mass, window, order, math.pi)
-    Bs = _line_integral(S, fm_v, gp_v, t, w, theta0, flip=False,
-                        shift=math.pi)[0]
-    shift_rel = abs(Bs - B0) / max(abs(B0), RESIDUAL_FLOOR)
+    fm_v = mass_shell(f, -1, t + 1j * math.pi, mass=S.mass)
+    gp_v = mass_shell(g, +1, t + 1j * math.pi, mass=S.mass)
+    shift_rel = 0.0
+    for theta0, B0 in first.values():
+        Bs = _line_integral(S, fm_v, gp_v, t, w, theta0, flip=False,
+                            shift=math.pi)[0]
+        shift_rel = max(shift_rel, abs(Bs - B0) / max(abs(B0), RESIDUAL_FLOOR))
 
     return ContourReport(samples=tuple(rows), max_relative=float(worst),
                          shift_relative=float(shift_rel))
 
 
-def refinement_study(S, f, g, n, spectators, orders,
-                     window=WINDOW_DEFAULT):
-    """Max relative residual at each quadrature order (for ratio checks)."""
+def refinement_study(S, f, g, spectators, orders, window=WINDOW_DEFAULT):
+    """Max relative residual over the spectator tuples, whatever their
+    length, at each quadrature order (for ratio checks)."""
     _require_wedge_separation(f, g)
     out = []
     for order in orders:
-        samples = _contour_samples(S, f, g, n, spectators, window, order)
+        samples = _contour_samples(S, f, g, spectators, window, order)
         out.append(max(_relative_sum(B, C) for _, B, C in samples))
     return out
 

@@ -223,19 +223,23 @@ def modular_trace_norm(S, s, kap, nodes=NODES_DEFAULT, refine=False):
     return trace_norm_estimate(K, refine=refine)
 
 
-def xi_bound_distal(S, s, kap, trace_norm=None):
-    """Geometric bound series: 1/(1 - x) for x = sigma * ||T||_1, else inf."""
+def xi_bound_distal(S, s, kap, trace_norm):
+    """Geometric bound series: 1/(1 - x) for x = sigma * ||T||_1, else inf.
+
+    ``trace_norm`` is the ||T_s||_1 the caller reports next to the bound.
+    """
     x = _bound_factor(S, s, kap, trace_norm, pauli=False)
     if x >= 1.0:
         return math.inf
     return 1.0 / (1.0 - x)
 
 
-def log_xi_bound_minus(S, s, kap, trace_norm=None):
+def log_xi_bound_minus(S, s, kap, trace_norm):
     """log of the Pauli-improved series sum_n x^n / sqrt(n!), finite for
     every x, with x = sigma * ||T||_1 * sqrt(||S2||_kappa).
 
-    The log form stays in double range where the sum itself overflows.
+    ``trace_norm`` is ||T_s||_1, as for :func:`xi_bound_distal`.  The log
+    form stays in double range where the sum itself overflows.
     Requires S2(0) = -1 (the fermionic subfamily) and a = 0.
     """
     if S.epsilon != -1:
@@ -246,8 +250,6 @@ def log_xi_bound_minus(S, s, kap, trace_norm=None):
 
 def _bound_factor(S, s, kap, trace_norm, pauli):
     _require_bounded_family(S)
-    if trace_norm is None:
-        trace_norm = modular_trace_norm(S, s, kap).value
     x = sigma(S, s, kap) * trace_norm
     if pauli:
         x *= math.sqrt(strip_sup_norm(S, kap))
@@ -340,8 +342,8 @@ class FreeBoseResult:
         return math.exp(2 * (self.trace_phi + self.trace_pi))
 
 
-def free_bose_bound(s, mass=1.0, nodes=NODES_DEFAULT):
-    """Determinant surrogate for the free model.
+def free_bose_bound(s, mass, nodes=NODES_DEFAULT):
+    """Determinant surrogate for the free model of the given mass.
 
     Computes the singular values of the position- and momentum-type
     kernels and returns prod (1 - t_i)^{-2} over both spectra, infinite if

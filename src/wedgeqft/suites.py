@@ -39,6 +39,11 @@ class Suite:
     column_docs: dict
 
 
+def _decreasing(seq):
+    """Whether each value is strictly below the one before it."""
+    return all(a > b for a, b in zip(seq, seq[1:]))
+
+
 def verify_scattering(cfg, rng):
     S = cfg.model
     tol = 1e-12
@@ -113,23 +118,15 @@ def verify_locality(cfg, rng):
     loc = cfg.locality
     f = cfg.testfunction(loc.f)
     g = cfg.testfunction(loc.g)
-    rows = []
-    worst_contour = 0.0
-    worst_shift = 0.0
-    for n in range(4):
-        spect = [tuple(rng.uniform(-2.0, 2.0, n))
-                 for _ in range(loc.spectators)]
-        rep = locality.verify_contour_identity(
-            S, f, g, n, spect, window=loc.window, order=loc.order)
-        worst_contour = max(worst_contour, rep.max_relative)
-        worst_shift = max(worst_shift, rep.shift_relative)
-        for row in rep.samples:
-            out = dict(row)
-            out["thetas"] = " ".join(f"{t:.6f}" for t in row["thetas"])
-            rows.append(out)
+    spect = [tuple(rng.uniform(-2.0, 2.0, n))
+             for n in range(4) for _ in range(loc.spectators)]
+    rep = locality.verify_contour_identity(S, f, g, spect, window=loc.window,
+                                           order=loc.order)
+    rows = [dict(row, thetas=" ".join(f"{t:.6f}" for t in row["thetas"]))
+            for row in rep.samples]
 
     orders = (loc.order // 8, loc.order // 4, loc.order // 2)
-    study = locality.refinement_study(S, f, g, 1, [(0.5,)], orders=orders,
+    study = locality.refinement_study(S, f, g, [(0.5,)], orders=orders,
                                       window=loc.window)
     refine_ok = all(nxt <= prev / 10 or nxt <= 1e-9
                     for prev, nxt in zip(study, study[1:]))
@@ -156,13 +153,13 @@ def verify_locality(cfg, rng):
     op_tensor, closed = nonlocality_witness(S, f, g, wit_grid)
     wit = float(np.max(np.abs(op_tensor - closed)))
 
-    passed = (worst_contour <= loc.contour_tol
-              and worst_shift <= loc.contour_tol
+    passed = (rep.max_relative <= loc.contour_tol
+              and rep.shift_relative <= loc.contour_tol
               and op <= loc.operator_tol
               and refine_ok and halving_ok and negative_ok
               and wit <= 1e-10)
-    summary = {"max_contour_relative": worst_contour,
-               "shift_relative": worst_shift,
+    summary = {"max_contour_relative": rep.max_relative,
+               "shift_relative": rep.shift_relative,
                "contour_tol": loc.contour_tol,
                "refinement_residuals": study,
                "operator_residual": op,
@@ -219,15 +216,12 @@ def nuclearity_curve(cfg, rng):
             row["log_bound_minus"] = nuclearity.log_xi_bound_minus(
                 S, float(s), kap, trace_norm=tn.value)
         rows.append(row)
-    sig_seq = [r["sigma"] for r in rows]
-    tn_seq = [r["trace_norm"] for r in rows]
-    mono = (all(a > b for a, b in zip(sig_seq, sig_seq[1:]))
-            and all(a > b for a, b in zip(tn_seq, tn_seq[1:])))
+    mono = (_decreasing([r["sigma"] for r in rows])
+            and _decreasing([r["trace_norm"] for r in rows]))
     minus_ok = True
     if fermionic:
         mseq = [r["log_bound_minus"] for r in rows]
-        minus_ok = (all(math.isfinite(v) for v in mseq)
-                    and all(a > b for a, b in zip(mseq, mseq[1:])))
+        minus_ok = all(math.isfinite(v) for v in mseq) and _decreasing(mseq)
     summary = {"kappa": kap, "sup_norm": sup, "monotone": bool(mono),
                "fermionic_bound_finite_decreasing": bool(minus_ok)}
     return SuiteResult(mono and minus_ok and not nonconv, summary, rows,
@@ -262,8 +256,7 @@ def free_bose(cfg, rng):
         ok &= max(r.max_singular_phi, r.max_singular_pi) < 1.0
         ok &= math.isfinite(r.value)
         rows.append({"s": float(s), **asdict(r)})
-    vals = [r["value"] for r in rows]
-    mono = all(a > b for a, b in zip(vals, vals[1:]))
+    mono = _decreasing([r["value"] for r in rows])
     ok &= mono
     summary = {"max_singular_value": max(max(r["max_singular_phi"],
                                              r["max_singular_pi"])
@@ -307,8 +300,7 @@ def partition(cfg, rng):
                      "mu": r.mu, "s_effective": r.s_effective,
                      "log_bound": r.log_value, "bound": r.value,
                      "heuristic": r.heuristic})
-    logs = [r["log_bound"] for r in rows]
-    mono = all(a > b for a, b in zip(logs, logs[1:]))   # beta ascending
+    mono = _decreasing([r["log_bound"] for r in rows])   # beta ascending
     summary = {"kappa": kap, "r": p.r, "heuristic": True,
                "log_monotone_in_inverse_beta": bool(mono)}
     return SuiteResult(bool(mono), summary, rows)

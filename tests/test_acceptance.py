@@ -15,7 +15,7 @@ import wedgeqft as wq
 from wedgeqft.cli import main as cli_main
 from wedgeqft.fock import _weighted_inner
 from wedgeqft.nuclearity import (KernelOperator, log_sqrt_factorial_series,
-                                 log_xi_bound_minus)
+                                 log_xi_bound_minus, modular_trace_norm)
 
 
 def record(num, description, ok):
@@ -105,14 +105,14 @@ def test_criterion_04_wedge_locality(catalogue, shg, rng):
     g = wq.Bump2D((-0.18, 0.21, -1.25, -0.55))
     worst_contour = 0.0
     for S in catalogue.values():
-        for n in range(4):
-            spect = [tuple(rng.uniform(-2, 2, n)) for _ in range(2)]
-            rep = wq.verify_contour_identity(S, f, g, n, spect)
-            worst_contour = max(worst_contour, rep.max_relative,
-                                rep.shift_relative)
+        spect = [tuple(rng.uniform(-2, 2, n))
+                 for n in range(4) for _ in range(2)]
+        rep = wq.verify_contour_identity(S, f, g, spect)
+        worst_contour = max(worst_contour, rep.max_relative,
+                            rep.shift_relative)
     contour_ok = worst_contour <= 1e-6
 
-    study = wq.refinement_study(shg, f, g, 1, [(0.5,)],
+    study = wq.refinement_study(shg, f, g, [(0.5,)],
                                 orders=(256, 512, 1024))
     refine_ok = all(nxt <= prev / 10 or nxt <= 1e-9
                     for prev, nxt in zip(study, study[1:]))
@@ -182,7 +182,9 @@ def test_criterion_08_fermionic_all_distance_bound(ising, resonance):
     svals = (0.2, 0.5, 1.0, 2.0, 5.0)
     ok = True
     for S, kap in ((ising, math.pi / 4), (resonance, math.pi / 8)):
-        logs = [log_xi_bound_minus(S, s, kap) for s in svals]
+        logs = [log_xi_bound_minus(S, s, kap,
+                                   modular_trace_norm(S, s, kap).value)
+                for s in svals]
         ok &= all(math.isfinite(v) for v in logs)
         ok &= all(x > y for x, y in zip(logs, logs[1:]))
 
@@ -199,8 +201,8 @@ def test_criterion_08_fermionic_all_distance_bound(ising, resonance):
 
 
 def test_criterion_09_free_bose():
-    r1 = wq.free_bose_bound(1.0)
-    r10 = wq.free_bose_bound(10.0)
+    r1 = wq.free_bose_bound(1.0, mass=1.0)
+    r10 = wq.free_bose_bound(10.0, mass=1.0)
     ok = (r1.max_singular_phi < 1.0 and r1.max_singular_pi < 1.0
           and math.isfinite(r1.value) and abs(r10.value - 1.0) < 1e-3)
     record(9, f"free-Bose singular values {r1.max_singular_phi:.3f}, "
@@ -212,7 +214,7 @@ def test_criterion_10_exponential_vs_determinant():
     ok = True
     vals = []
     for s in (0.5, 1.0):
-        r = wq.free_bose_bound(s)
+        r = wq.free_bose_bound(s, mass=1.0)
         e, d = r.exp_bound, r.value
         ok &= math.isfinite(e) and math.isfinite(d) and e < d
         vals.append(f"{e:.3f}<{d:.3f}")

@@ -57,16 +57,16 @@ def test_conjugate_pair_identity(gaussian, bump):
     # (conj f)^+ = conj(f^-) at real rapidity
     t = np.linspace(-3, 3, 11).astype(complex)
     for f in (gaussian, bump):
-        lhs = wq.mass_shell(f.conj(), +1, t)
-        rhs = np.conj(wq.mass_shell(f, -1, t))
+        lhs = wq.mass_shell(f.conj(), +1, t, mass=1.0)
+        rhs = np.conj(wq.mass_shell(f, -1, t, mass=1.0))
         assert_allclose(lhs, rhs, atol=1e-14)
 
 
 def test_half_period_contour_identity(bump):
     # entire transform: f^+(t - i pi) = f^-(t) for compact support
     t = np.linspace(-2, 2, 9)
-    lhs = wq.mass_shell(bump, +1, t - 1j * math.pi)
-    rhs = wq.mass_shell(bump, -1, t.astype(complex))
+    lhs = wq.mass_shell(bump, +1, t - 1j * math.pi, mass=1.0)
+    rhs = wq.mass_shell(bump, -1, t.astype(complex), mass=1.0)
     assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -80,8 +80,8 @@ def test_half_period_identity_on_catalogue_line():
         f = cfg.testfunction(name)
         h0, h1 = f.half_width
         scale = h0 * h1 * BUMP_INTEGRAL ** 2 / (2 * math.pi)
-        lhs = wq.mass_shell(f, +1, t - 1j * math.pi)
-        rhs = wq.mass_shell(f, -1, t.astype(complex))
+        lhs = wq.mass_shell(f, +1, t - 1j * math.pi, mass=cfg.model.mass)
+        rhs = wq.mass_shell(f, -1, t.astype(complex), mass=cfg.model.mass)
         assert np.max(np.abs(lhs - rhs)) <= 2 * BUMP_TARGET * scale
 
 
@@ -117,8 +117,9 @@ def test_mass_shell_value_independent_of_batch():
     cfg = load_config("catalogue:shg-b050")
     f = cfg.testfunction(cfg.locality.f)
     u, _ = gauss_legendre(cfg.locality.order)
-    batch = wq.mass_shell(f, +1, np.append(cfg.locality.window * u, 0.3))
-    alone = wq.mass_shell(f, +1, [0.3])
+    m = cfg.model.mass
+    batch = wq.mass_shell(f, +1, np.append(cfg.locality.window * u, 0.3), m)
+    alone = wq.mass_shell(f, +1, [0.3], m)
     assert abs(alone[0] - batch[-1]) <= 1e-14 * np.max(np.abs(batch))
 
 
@@ -141,7 +142,7 @@ def test_folded_transform_matches_unfolded_sum(re, imag, center, half_width):
 
 
 def test_mass_shell_of_empty_batch(bump):
-    assert wq.mass_shell(bump, +1, []).shape == (0,)
+    assert wq.mass_shell(bump, +1, [], mass=1.0).shape == (0,)
 
 
 def test_klein_gordon_symbol():
@@ -186,20 +187,20 @@ def test_translation_pulls_out_phase(bump, shg):
     t = np.linspace(-2.5, 2.5, 11)
     moved = bump.transformed(x)
     phase = np.exp(1j * (np.cosh(t) * x[0] - np.sinh(t) * x[1]))
-    assert_allclose(wq.mass_shell(moved, +1, t.astype(complex)),
-                    phase * wq.mass_shell(bump, +1, t.astype(complex)),
+    assert_allclose(wq.mass_shell(moved, +1, t.astype(complex), mass=1.0),
+                    phase * wq.mass_shell(bump, +1, t.astype(complex), 1.0),
                     atol=1e-14)
 
 
 def test_quadrature_overflow_guard(bump):
     with pytest.raises(QuadratureOverflowError):
-        wq.mass_shell(bump, +1, 8.0 + 1.4j)
+        wq.mass_shell(bump, +1, 8.0 + 1.4j, mass=1.0)
 
 
 def test_field_phi_on_vacuum(shg, gaussian, grid41):
     om = FockVector.vacuum(grid41)
     out = wq.field_phi(shg, gaussian, om)
-    fp = sample_mass_shell(gaussian, +1, grid41)
+    fp = sample_mass_shell(gaussian, +1, grid41, mass=shg.mass)
     assert_allclose(out.component(1), fp.values, atol=0)
     assert abs(out.component(0)) == 0
 
@@ -235,7 +236,7 @@ def test_prime_field_on_vacuum_and_coincidence(catalogue, gaussian, grid21, rng)
     free = catalogue["free"]
     shg = catalogue["shg"]
     om = FockVector.vacuum(grid21)
-    fp = sample_mass_shell(gaussian, +1, grid21)
+    fp = sample_mass_shell(gaussian, +1, grid21, mass=shg.mass)
     assert_allclose(wq.field_phi_prime(shg, gaussian, om).component(1),
                     fp.values, atol=1e-14)
     Phi = wq.random_fock(free, grid21, 2, rng)
@@ -291,7 +292,7 @@ def test_energy_weighted_norm_identity(f1):
 
 def test_timezero_minus_sampling(shg, grid21):
     f1 = wq.Gaussian1D(0.4, 0.7, q=0.3)
-    fhat, fhat_m = timezero_samples(f1, grid21)
+    fhat, fhat_m = timezero_samples(f1, grid21, mass=shg.mass)
     assert_allclose(fhat_m.values, fhat.values[::-1], atol=0)
 
 

@@ -21,10 +21,10 @@ def restriction(S, f, sign):
     return lambda z: wq.mass_shell(f, sign, z, mass=S.mass)
 
 
-def contour_samples(S, f, g, n, spectators, order=locality.ORDER_DEFAULT):
+def contour_samples(S, f, g, spectators, order=locality.ORDER_DEFAULT):
     """(B, C) per spectator tuple, as the verify-locality rows compute them."""
     return [(B, C) for _, B, C in locality._contour_samples(
-        S, f, g, n, spectators, locality.WINDOW_DEFAULT, order)]
+        S, f, g, spectators, locality.WINDOW_DEFAULT, order)]
 
 
 def line_integral(S, psi1, psi2, thetas, flip):
@@ -35,7 +35,7 @@ def line_integral(S, psi1, psi2, thetas, flip):
 
 def test_eval_b_n0_is_plain_overlap(shg, wedge_pair):
     f, g = wedge_pair
-    [(B, C)] = contour_samples(shg, f, g, 0, [()])
+    [(B, C)] = contour_samples(shg, f, g, [()])
     # independent straight quadrature of the two overlaps
     t, w = np.polynomial.legendre.leggauss(400)
     t, w = 8 * t, 8 * w
@@ -47,9 +47,9 @@ def test_eval_b_n0_is_plain_overlap(shg, wedge_pair):
 
 def test_eval_b_free_spectator_independent(free, wedge_pair, rng):
     f, g = wedge_pair
-    [base] = contour_samples(free, f, g, 0, [()])
+    [base] = contour_samples(free, f, g, [()])
     for n in (1, 2, 3):
-        [got] = contour_samples(free, f, g, n, [tuple(rng.uniform(-2, 2, n))])
+        [got] = contour_samples(free, f, g, [tuple(rng.uniform(-2, 2, n))])
         for x, y in zip(got, base):
             assert abs(x - y) < 1e-14
 
@@ -57,8 +57,8 @@ def test_eval_b_free_spectator_independent(free, wedge_pair, rng):
 def test_eval_b_refinement_oracle(shg, wedge_pair, rng):
     f, g = wedge_pair
     spect = [tuple(rng.uniform(-2, 2, 2))]
-    [coarse] = contour_samples(shg, f, g, 2, spect, order=512)
-    [fine] = contour_samples(shg, f, g, 2, spect, order=2048)
+    [coarse] = contour_samples(shg, f, g, spect, order=512)
+    [fine] = contour_samples(shg, f, g, spect, order=2048)
     for x, y in zip(coarse, fine):
         assert abs(x - y) < 1e-14 + 1e-6 * abs(y)
 
@@ -85,8 +85,8 @@ def test_tail_in_outer_band_raises(free):
 
 def test_ising_n1_sign_flip(ising, wedge_pair):
     f, g = wedge_pair
-    [(b0, c0)] = contour_samples(ising, f, g, 0, [()])
-    [(b1, c1)] = contour_samples(ising, f, g, 1, [(0.7,)])
+    [(b0, c0)] = contour_samples(ising, f, g, [()])
+    [(b1, c1)] = contour_samples(ising, f, g, [(0.7,)])
     assert abs(b1 + b0) < 1e-14          # single factor -1
     assert abs(c1 + c0) < 1e-14
 
@@ -96,31 +96,31 @@ def test_contour_identity_catalogue(catalogue, wedge_pair, rng):
     for S in catalogue.values():
         for n in (0, 2):
             spect = [tuple(rng.uniform(-2, 2, n)) for _ in range(2)]
-            rep = wq.verify_contour_identity(S, f, g, n, spect)
+            rep = wq.verify_contour_identity(S, f, g, spect)
             assert max(rep.max_relative, rep.shift_relative) <= 1e-6, rep
 
 
 def test_contour_identity_support_check(shg, wedge_pair):
     f, g = wedge_pair
     with pytest.raises(WedgeQFTError):
-        wq.verify_contour_identity(shg, g, f, 0, [()])
+        wq.verify_contour_identity(shg, g, f, [()])
     gauss = wq.Gaussian2D.isotropic((0, 1.0), 0.3)
     with pytest.raises(WedgeQFTError):
-        wq.verify_contour_identity(shg, gauss, g, 0, [()])
+        wq.verify_contour_identity(shg, gauss, g, [()])
 
 
 def test_contour_negative_control(shg, wedge_pair):
     f, g = wedge_pair
     # overlapping supports break the strip decay; the residual is O(1)
     g_bad = g.transformed((0.35, f.center[1] - g.center[1]))
-    rep = wq.verify_contour_identity(shg, f, g_bad, 1, [(0.4,)],
+    rep = wq.verify_contour_identity(shg, f, g_bad, [(0.4,)],
                                      check_support=False)
     assert rep.max_relative > 1e-2
 
 
 def test_refinement_ratios(shg, wedge_pair):
     f, g = wedge_pair
-    vals = wq.refinement_study(shg, f, g, 1, [(0.5,)], orders=(256, 512, 1024))
+    vals = wq.refinement_study(shg, f, g, [(0.5,)], orders=(256, 512, 1024))
     for prev, nxt in zip(vals, vals[1:]):
         assert nxt <= prev / 10 or nxt <= 1e-9
 
@@ -130,9 +130,27 @@ def test_contour_checks_reject_an_empty_spectator_list(shg, wedge_pair):
     # pass any tolerance without having checked anything
     f, g = wedge_pair
     with pytest.raises(ValueError, match="no spectator tuples"):
-        wq.verify_contour_identity(shg, f, g, 1, [])
+        wq.verify_contour_identity(shg, f, g, [])
     with pytest.raises(ValueError, match="no spectator tuples"):
-        wq.refinement_study(shg, f, g, 1, [], orders=(256, 512))
+        wq.refinement_study(shg, f, g, [], orders=(256, 512))
+
+
+def test_one_call_over_all_lengths_equals_per_length_calls(shg, wedge_pair,
+                                                            rng):
+    # the suite's single call against one call per spectator count, bit
+    # for bit: rows, worst residual and worst shift residual
+    f, g = wedge_pair
+    spect = [tuple(rng.uniform(-2, 2, n)) for n in range(4) for _ in range(2)]
+    whole = wq.verify_contour_identity(shg, f, g, spect, order=512)
+    parts = [wq.verify_contour_identity(
+                 shg, f, g, [t for t in spect if len(t) == n], order=512)
+             for n in range(4)]
+    assert [row["n"] for row in whole.samples] == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert repr(whole.samples) == repr(tuple(row for rep in parts
+                                             for row in rep.samples))
+    assert repr(whole.max_relative) == repr(max(r.max_relative for r in parts))
+    assert repr(whole.shift_relative) == repr(max(r.shift_relative
+                                                  for r in parts))
 
 
 def test_line_restrictions_computed_once(monkeypatch, rng):
@@ -141,42 +159,27 @@ def test_line_restrictions_computed_once(monkeypatch, rng):
                                  "locality.spectators=1"])
     calls = []
 
-    def counting(f, sign, zeta, mass=1.0):
-        calls.append(mass)
-        return wq.mass_shell(f, sign, zeta, mass=mass)
+    def counting(f, sign, zeta, mass):
+        calls.append((len(zeta), mass))
+        return wq.mass_shell(f, sign, zeta, mass)
 
     monkeypatch.setattr(locality, "mass_shell", counting)
-    locality._line_restriction.cache_clear()
     suites.verify_locality(cfg, rng)
     # f-, g+, f+, g- on the real line and f-, g+ on Im t = pi at the
     # configured order, then the four real-line ones per refinement order
-    assert len(calls) <= 6 + 4 * 3
+    assert sorted(n for n, _ in calls) == ([32] * 4 + [64] * 4 + [128] * 4
+                                           + [256] * 6)
 
-    # the values depend on the mass only, not on S2 or the spectators
+    # nothing is kept between calls: a repeated call computes its six
+    # lines again, each at the model's mass
     loc = cfg.locality
     f, g = cfg.testfunction(loc.f), cfg.testfunction(loc.g)
-    before = len(calls)
-    for S in (cfg.model, wq.build_model(-1)):
-        locality.verify_contour_identity(S, f, g, 1, [(0.3,)],
-                                         window=loc.window, order=loc.order)
-    assert len(calls) == before
-
     heavy = wq.build_model(+1, m=2.0)
-    locality.verify_contour_identity(heavy, f, g, 0, [()],
-                                     window=loc.window, order=loc.order)
-    assert len(calls) > before
-    assert set(calls[before:]) == {2.0}
-
-
-def test_cached_line_restriction_is_exact_and_read_only(wedge_pair):
-    f, _ = wedge_pair
-    t, _ = locality._gl_line(8.0, 256)
-    for shift in (0.0, np.pi):
-        cached = locality._line_restriction(f, -1, 1.0, 8.0, 256, shift)
-        direct = wq.mass_shell(f, -1, t + 1j * shift, mass=1.0)
-        assert np.array_equal(cached.view(np.uint64), direct.view(np.uint64))
-        with pytest.raises(ValueError):
-            cached[0] = 0.0
+    for _ in range(2):
+        calls.clear()
+        locality.verify_contour_identity(heavy, f, g, [(), (0.3,)],
+                                         window=loc.window, order=loc.order)
+        assert calls == [(loc.order, 2.0)] * 6
 
 
 def test_operator_commutator_and_halving(shg, wedge_pair, rng):
@@ -222,11 +225,12 @@ def test_strip_bound_heuristic(shg, wedge_pair, rng):
     # norms (maximum principle), and |S2| <= 1 inside the physical strip
     f, g = wedge_pair
     t = np.linspace(-4, 4, 33)
-    sup_f = max(np.max(np.abs(wq.mass_shell(f, s, t.astype(complex))))
+    sup_f = max(np.max(np.abs(restriction(shg, f, s)(t.astype(complex))))
                 for s in (+1, -1))
-    sup_g = max(np.max(np.abs(wq.mass_shell(g, s, t.astype(complex))))
+    sup_g = max(np.max(np.abs(restriction(shg, g, s)(t.astype(complex))))
                 for s in (+1, -1))
-    shifted = wq.mass_shell(f, -1, t + 0.5j) * wq.mass_shell(g, +1, t + 0.5j)
+    z = t + 0.5j
+    shifted = restriction(shg, f, -1)(z) * restriction(shg, g, +1)(z)
     assert np.max(np.abs(shifted)) <= sup_f * sup_g * (1 + 1e-9)
     prod = np.abs(wq.evaluate(shg, (t + 0.5j)[:, None]
                               - rng.uniform(-2, 2, 3)[None, :]))

@@ -13,6 +13,12 @@ from wedgeqft.nuclearity import (KernelOperator, _nystrom_matrix,
 
 from oracles import log_sqrt_factorial_full_sum, singular_values_dense
 
+
+def unrefined_trace_norm(S, s, kap):
+    """||T_s||_1 on the default nodes, as fed to the bound series."""
+    return modular_trace_norm(S, s, kap).value
+
+
 # one operator of each kind with its mirror sign: J A J = sign * conj(A)
 MIRROR_CASES = [
     (KernelOperator("general", (1.0, 0.6)), -1),
@@ -171,20 +177,26 @@ def test_xi_bound_distal_values(ising):
 
 
 def test_xi_bound_distal_large_distance(resonance):
-    val = wq.xi_bound_distal(resonance, 30.0, math.pi / 8)
+    val = wq.xi_bound_distal(resonance, 30.0, math.pi / 8,
+                             trace_norm=unrefined_trace_norm(
+                                 resonance, 30.0, math.pi / 8))
     assert 1.0 <= val < 1.0001
 
 
 def test_xi_bound_minus_requires_fermionic(free):
     with pytest.raises(ModelError):
-        log_xi_bound_minus(free, 1.0, math.pi / 4)
+        log_xi_bound_minus(free, 1.0, math.pi / 4, trace_norm=1.0)
 
 
 def test_xi_bound_minus_finite_decreasing(ising, resonance):
-    ivals = [log_xi_bound_minus(ising, s, math.pi / 4) for s in (0.5, 1, 2, 5)]
+    ivals = [log_xi_bound_minus(ising, s, math.pi / 4,
+                                unrefined_trace_norm(ising, s, math.pi / 4))
+             for s in (0.5, 1, 2, 5)]
     assert all(math.isfinite(v) for v in ivals)
     assert all(x > y for x, y in zip(ivals, ivals[1:]))
-    rvals = [log_xi_bound_minus(resonance, s, math.pi / 8)
+    rvals = [log_xi_bound_minus(resonance, s, math.pi / 8,
+                                unrefined_trace_norm(resonance, s,
+                                                     math.pi / 8))
              for s in (0.5, 1, 2, 5)]
     assert all(math.isfinite(v) for v in rvals)
     assert all(x > y for x, y in zip(rvals, rvals[1:]))
@@ -225,24 +237,26 @@ def test_find_s_min_bad_bracket(resonance):
 
 
 def test_free_bose_bound():
-    r = wq.free_bose_bound(1.0, nodes=200)
+    r = wq.free_bose_bound(1.0, mass=1.0, nodes=200)
     assert r.max_singular_phi < 1.0 and r.max_singular_pi < 1.0
     assert math.isfinite(r.value) and r.value > 1.0
-    r10 = wq.free_bose_bound(10.0, nodes=200)
+    r10 = wq.free_bose_bound(10.0, mass=1.0, nodes=200)
     assert abs(r10.value - 1.0) < 1e-3
-    vals = [wq.free_bose_bound(s, nodes=200).value for s in (0.5, 1.0, 2.0)]
+    vals = [wq.free_bose_bound(s, mass=1.0, nodes=200).value
+            for s in (0.5, 1.0, 2.0)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
     # at short distance a singular value passes 1 and the surrogate is inf
-    r0 = wq.free_bose_bound(1e-3, nodes=100)
+    r0 = wq.free_bose_bound(1e-3, mass=1.0, nodes=100)
     assert r0.max_singular_phi > 1.0 and r0.value == math.inf
 
 
 def test_ising_fermi_vs_determinant():
     for s in (0.5, 1.0):
-        r = wq.free_bose_bound(s, nodes=200)
+        r = wq.free_bose_bound(s, mass=1.0, nodes=200)
         assert math.isfinite(r.exp_bound)
         assert r.exp_bound < r.value
-    assert abs(wq.free_bose_bound(10.0, nodes=200).exp_bound - 1.0) < 1e-3
+    assert abs(wq.free_bose_bound(10.0, mass=1.0, nodes=200).exp_bound
+               - 1.0) < 1e-3
 
 
 def test_partition_bound_basics(ising, free):

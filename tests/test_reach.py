@@ -5,9 +5,16 @@ records each code object called.  An exported function counts as reached
 when its code ran, a class when any of its methods ran.  The names no run
 reaches yet are listed in ``PENDING``; a name that leaves that list must
 be reported by a suite or leave the package.
+
+Each input a function receives from its caller has one owner, so no
+function may default it: the model's mass is ``S.mass``, the trace norm a
+bound uses is the one its suite reports next to it, and ||S2||_kappa is
+the memoized ``strip_sup_norm``.
 """
 
+import ast
 import inspect
+import pathlib
 import sys
 
 import wedgeqft
@@ -72,3 +79,36 @@ def test_every_export_is_reached_by_a_run():
     unreached = {name for name, obj in exports.items()
                  if not code_objects(obj) & called}
     assert unreached == PENDING
+
+
+# inputs with one owner each (see the module docstring)
+OWNED_INPUTS = {"mass", "trace_norm", "sup_norm"}
+
+
+def defaulted_parameters(node):
+    """The parameters of a def or lambda that carry a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults):]
+    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return {a.arg for a in named}
+
+
+def test_no_function_defaults_an_owned_input():
+    package = pathlib.Path(wedgeqft.__file__).parent
+    taken, defaulting = set(), []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            taken |= {a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)}
+            defaulting += [f"{path.name}:{node.lineno} {name}" for name
+                           in sorted(defaulted_parameters(node) & OWNED_INPUTS)]
+    # the functions that take the model's mass and a trace norm are seen
+    assert taken >= {"mass", "trace_norm"}
+    assert defaulting == []
