@@ -16,9 +16,10 @@ the substitution y = scale * tan(v), which maps the whole line onto a
 finite interval; the substitution is unitary, so the discrete singular
 values converge to those of the full-line operator without any window
 truncation.  On top of the trace norms sit the Hardy constant, the
-geometric and Pauli-improved bound series, the minimal splitting distance,
-the free/fermionic special cases and the heuristic partition-function
-bound.
+geometric and Pauli-improved bound series, the minimal splitting distance
+(searched inside a closed-form bracket set by |tr T_s| below and the
+analytic trace bound above), the free/fermionic special cases and the
+heuristic partition-function bound.
 
 The SVD runs on a smaller real matrix with the same singular values.  The
 tan-mapped rule is mirror-symmetric bit for bit (y reversed is -y, w
@@ -53,6 +54,10 @@ REFINE_TOL = 1e-3
 MAX_DOUBLINGS = 3
 SERIES_TAIL_TOL = 1e-12
 SERIES_CHUNK = 1 << 18
+K0_NODES = 64
+EXP_UNDERFLOW = 745.0           # e^{-745} is the smallest subnormal double
+LOG_FLOOR = math.log(math.ulp(0.0))
+BRACKET_MARGIN = 1e-3
 
 
 def _tan_rule(scale, nodes):
@@ -148,24 +153,36 @@ class TraceNormResult:
     converged: bool
 
 
-def trace_norm_estimate(K, refine=True):
-    """Sum of singular values, with optional (scale, nodes) doubling.
+def _rel_change(new, old):
+    return abs(new - old) / max(abs(new), 1e-300)
 
-    Refinement doubles both up to ``MAX_DOUBLINGS`` times and stops once
-    the relative change is below ``REFINE_TOL``.  The reported relative
-    change compares the last two refinement levels; non-convergence within
-    the budget is flagged, not raised, and the last value is still
-    returned.
+
+def trace_norm_estimate(K, refine=True):
+    """Sum of singular values, checked against a coarser companion level.
+
+    With ``refine`` the requested level is compared with a companion of
+    round(nodes / sqrt(2)) nodes at scale / sqrt(2), whose SVD costs about
+    a third of the requested one.  If the two agree to ``REFINE_TOL`` the
+    requested level is reported, with that agreement as ``rel_change``.
+    Otherwise both scale and nodes are doubled, up to ``MAX_DOUBLINGS``
+    times, until consecutive levels agree to ``REFINE_TOL``; the reported
+    relative change then compares the last two levels.  Non-convergence
+    within the budget is flagged, not raised, and the last value is still
+    returned.  Without ``refine``, ``rel_change`` is NaN.
     """
     value = float(np.sum(singular_values(K)))
     if not refine:
         return TraceNormResult(value, K.scale, K.nodes, math.nan, True)
+    companion = KernelOperator(K.kind, K.params, K.scale / math.sqrt(2),
+                               round(K.nodes / math.sqrt(2)))
+    rel = _rel_change(value, float(np.sum(singular_values(companion))))
+    if rel < REFINE_TOL:
+        return TraceNormResult(value, K.scale, K.nodes, rel, True)
     scale, nodes = K.scale, K.nodes
-    rel = math.inf
     for _ in range(MAX_DOUBLINGS):
         finer = KernelOperator(K.kind, K.params, scale * 2, nodes * 2)
         new = float(np.sum(singular_values(finer)))
-        rel = abs(new - value) / max(abs(new), 1e-300)
+        rel = _rel_change(new, value)
         value, scale, nodes = new, finer.scale, finer.nodes
         if rel < REFINE_TOL:
             return TraceNormResult(value, scale, nodes, rel, True)
@@ -187,6 +204,30 @@ def analytic_trace_bound(a, b):
             * math.exp(-a) / a ** 0.25
             * math.sqrt(math.sqrt(math.pi / 2) + 1 / (4 * a))
             * math.sqrt((b ** 4 + 4 * b ** 2 + 24) / b ** 5))
+
+
+def _bessel_k0(a):
+    """K_0(a) = int_0^inf e^{-a cosh t} dt on the shared Gauss-Legendre rule.
+
+    The integrand reaches the smallest subnormal double where a cosh t
+    reaches ``EXP_UNDERFLOW``, so the integral is cut there and taken with
+    a ``K0_NODES``-point rule; it is 0.0 for a at or above that.
+    """
+    if a >= EXP_UNDERFLOW:
+        return 0.0
+    half = math.acosh(EXP_UNDERFLOW / a) / 2
+    v, w = gauss_legendre(K0_NODES)
+    return half * float(np.dot(w, np.exp(-a * np.cosh(half * (v + 1)))))
+
+
+def _trace_lower_bound(a, b):
+    """2 K_0(a) / |b|, the |trace| of the damped Cauchy kernel.
+
+    |tr A| <= sum sigma_i(A), so this bounds the trace norm from below,
+    and also its Nystrom estimate, whose trace matches it to about 3e-14
+    at the default nodes.
+    """
+    return 2 * _bessel_k0(a) / abs(b)
 
 
 def _require_bounded_family(S):
@@ -297,32 +338,66 @@ def log_sqrt_factorial_series(x):
     return total
 
 
+def _log(x):
+    """math.log, with 0.0 (an underflowed product) sent to ``LOG_FLOOR``."""
+    return math.log(x) if x > 0 else LOG_FLOOR
+
+
+def s_min_bracket(S, kap):
+    """Closed-form bracket (lo, hi) of the root of sigma(s) ||T_s||_1 = 1.
+
+    ||T_s||_1 is the trace norm of the damped Cauchy kernel at
+    (m s / 2, kappa / 2) over pi, so it lies between
+    :func:`_trace_lower_bound` and :func:`analytic_trace_bound` there, over
+    pi; the Nystrom estimate does too.  Both sides times sigma decrease in
+    s, so lo solves sigma * lower = 1 and hi solves sigma * upper = 1, each
+    by Brent's method in log s over (1e-6 / m, 1e3 / m).  Each end is then
+    moved outward by ``BRACKET_MARGIN`` relative, so that the sign of the
+    objective there rests on the bounds, not on a root tolerance.
+    """
+    m = S.mass
+    from scipy.optimize import brentq   # imported on use, see find_s_min
+
+    def root(trace_bound):
+        def log_objective(u):
+            s = math.exp(u)
+            return _log(sigma(S, s, kap) * trace_bound(m * s / 2, kap / 2)
+                        / math.pi)
+        return math.exp(brentq(log_objective, math.log(1e-6 / m),
+                               math.log(1e3 / m), xtol=1e-12))
+
+    return (root(_trace_lower_bound) * (1 - BRACKET_MARGIN),
+            root(analytic_trace_bound) * (1 + BRACKET_MARGIN))
+
+
 def find_s_min(S, kap, bracket=None, tol=1e-4, nodes=NODES_DEFAULT):
     """Root of sigma(s, kappa) ||T_s||_1 = 1 in the bracket, to ``tol`` in s.
 
     The objective is strictly decreasing in s, so above the root the
-    geometric bound series converges.  Default bracket (1e-3/m, 50/m).
-    The root is found by Brent's method (``scipy.optimize.brentq``) on the
-    unrefined ``nodes``-point trace norms; :class:`ConvergenceError` is
-    raised when the objective does not change sign over the bracket.
-    :func:`sigma` supplies ||S2||_kappa, computed once per model and kappa.
+    geometric bound series converges.  The default bracket is the closed
+    form of :func:`s_min_bracket`.  The root is found by Brent's method
+    (``scipy.optimize.brentq``) on log(sigma ||T_s||_1), which is nearly
+    linear in s, with the unrefined ``nodes``-point trace norms; a product
+    that underflows to 0.0 counts as ``LOG_FLOOR``.
+    :class:`ConvergenceError` is raised when the objective does not change
+    sign over the bracket.  :func:`sigma` supplies ||S2||_kappa, computed
+    once per model and kappa.
     """
     _require_bounded_family(S)
-    m = S.mass
     if bracket is None:
-        bracket = (1e-3 / m, 50.0 / m)
+        bracket = s_min_bracket(S, kap)
 
     @cache          # brentq evaluates the two bracket ends again
     def objective(s):
-        tn = modular_trace_norm(S, s, kap, nodes=nodes).value
-        return sigma(S, s, kap) * tn - 1.0
+        return _log(sigma(S, s, kap)
+                    * modular_trace_norm(S, s, kap, nodes=nodes).value)
 
     lo, hi = bracket
     f_lo, f_hi = objective(lo), objective(hi)
     if f_lo < 0 or f_hi > 0:
         raise ConvergenceError(
-            f"no sign change in bracket {bracket}: f(lo)={f_lo:.3g}, "
-            f"f(hi)={f_hi:.3g}")
+            f"no sign change in bracket {bracket}: log objective "
+            f"f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}")
     # imported on use: scipy.optimize adds about 0.25 s to `import wedgeqft`
     from scipy.optimize import brentq
     return brentq(objective, lo, hi, xtol=tol)

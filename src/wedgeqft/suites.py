@@ -231,10 +231,13 @@ def nuclearity_curve(cfg, rng):
 def find_smin_suite(cfg, rng):
     S = cfg.model
     kap = cfg.nuclearity.kappa
-    s_min = nuclearity.find_s_min(S, kap, nodes=cfg.nuclearity.nodes)
-    summary = {"kappa": kap, "s_min": s_min,
+    bracket = nuclearity.s_min_bracket(S, kap)
+    s_min = nuclearity.find_s_min(S, kap, bracket=bracket,
+                                  nodes=cfg.nuclearity.nodes)
+    summary = {"kappa": kap, "s_min": s_min, "s_bracket": list(bracket),
                "in_expected_range": bool(0.0 < s_min < 50.0 / S.mass)}
-    rows = [{"kappa": kap, "s_min": s_min}]
+    rows = [{"kappa": kap, "s_min": s_min,
+             "s_bracket": " ".join(format(s, ".17g") for s in bracket)}]
     return SuiteResult(summary["in_expected_range"], summary, rows)
 
 
@@ -331,14 +334,17 @@ SUITES = {
     "nuclearity-curve": Suite(nuclearity_curve, {
         "s": "splitting distance", "sigma": "Hardy constant",
         "trace_norm": "||T_s||_1 estimate",
-        "trace_rel_change": "relative change at last refinement",
-        "trace_scale": "tan-map scale of the last Nystrom refinement",
-        "trace_nodes": "Nystrom node count of the last refinement",
+        "trace_rel_change": "relative change against the coarser companion "
+                            "level, or between the last two doublings",
+        "trace_scale": "tan-map scale of the reported Nystrom level",
+        "trace_nodes": "Nystrom node count of the reported level",
         "trace_converged": "whether the refinement met its tolerance",
         "bound_distal": "geometric series bound (inf above radius)",
         "log_bound_minus": "log of the Pauli-improved series (fermionic)"}),
     "find-smin": Suite(find_smin_suite, {
-        "kappa": "strip parameter", "s_min": "root of sigma*||T||=1"}),
+        "kappa": "strip parameter", "s_min": "root of sigma*||T||=1",
+        "s_bracket": "space-separated closed-form bracket (lo hi) searched "
+                     "for s_min"}),
     "free-bose": Suite(free_bose, {
         "s": "splitting distance", "value": "determinant surrogate",
         "max_singular_phi": "largest singular value, position kernel",

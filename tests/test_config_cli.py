@@ -222,9 +222,13 @@ def test_warm_caches_leave_bound_reports_unchanged(tmp_path, capsys):
     # find-smin writes its root into the bound report too
     smin = tmp_path / "cold" / "find-smin"
     report = json.loads((smin / "report.json").read_text())
-    s_min = report["suites"]["find-smin"]["summary"]["s_min"]
+    summary = report["suites"]["find-smin"]["summary"]
+    s_min = summary["s_min"]
     nuc = json.loads((smin / "nuclearity-report.json").read_text())
     assert 0.0 < s_min < 50.0 and nuc["s_min"] == s_min
+    # and the closed-form bracket it searched
+    lo, hi = summary["s_bracket"]
+    assert lo < s_min < hi
 
 
 def test_cli_schema(capsys):

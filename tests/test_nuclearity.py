@@ -2,14 +2,18 @@ import math
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
+import mpmath
 import numpy as np
 import pytest
 
 import wedgeqft as wq
+from wedgeqft.config import load_config
 from wedgeqft.errors import ConvergenceError, ModelError, StripError
-from wedgeqft.nuclearity import (KernelOperator, _nystrom_matrix,
+from wedgeqft.nuclearity import (REFINE_TOL, KernelOperator, _bessel_k0,
+                                 _nystrom_matrix, _trace_lower_bound,
                                  log_sqrt_factorial_series,
-                                 log_xi_bound_minus, modular_trace_norm)
+                                 log_xi_bound_minus, modular_trace_norm,
+                                 s_min_bracket)
 
 from oracles import log_sqrt_factorial_full_sum, singular_values_dense
 
@@ -64,6 +68,64 @@ def test_trace_norm_below_bound_and_converged():
     assert not r.converged
     assert (r.nodes, r.scale) == (32, 0.008)
     assert 0.4 < r.rel_change < 0.5 and math.isfinite(r.value)
+
+
+def test_refine_at_default_settings_reports_the_requested_level():
+    # the coarser companion confirms the requested level, which is reported
+    # unchanged
+    for K in (KernelOperator("general", (1.0, 0.6)),
+              KernelOperator("modular", (0.5, math.pi / 8, 1.0)),
+              KernelOperator("modular", (5.0, math.pi / 4, 1.0))):
+        r = wq.trace_norm_estimate(K, refine=True)
+        assert (r.nodes, r.scale) == (K.nodes, K.scale)
+        assert r.value == wq.trace_norm_estimate(K, refine=False).value
+        assert r.converged and r.rel_change < REFINE_TOL
+
+
+def test_refine_doubles_when_the_companion_disagrees():
+    K = KernelOperator("general", (2.0, math.pi / 2), scale=0.25, nodes=20)
+    companion = KernelOperator("general", (2.0, math.pi / 2),
+                               scale=0.25 / math.sqrt(2), nodes=14)
+    value = wq.trace_norm_estimate(K, refine=False).value
+    coarse = wq.trace_norm_estimate(companion, refine=False).value
+    assert abs(value - coarse) / value > REFINE_TOL
+    r = wq.trace_norm_estimate(K)
+    assert r.converged and (r.nodes, r.scale) == (40, 0.5)
+    doubled = KernelOperator("general", (2.0, math.pi / 2), 0.5, 40)
+    assert r.value == wq.trace_norm_estimate(doubled, refine=False).value
+    assert r.rel_change == abs(r.value - value) / r.value < REFINE_TOL
+
+
+def test_bessel_k0_matches_mpmath():
+    # tolerance fixed at 5e-14 relative before the first run
+    for a in np.geomspace(5e-4, 25.0, 60):
+        ref = float(mpmath.besselk(0, a))
+        assert abs(_bessel_k0(a) - ref) <= 5e-14 * ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=25.0),
+       st.floats(min_value=0.01, max_value=math.pi / 4), st.booleans())
+def test_nystrom_trace_norm_inside_closed_form_bounds(a, b, negative):
+    # |tr A| <= sum sigma_i(A) below, the analytic bound above
+    b = -b if negative else b
+    value = wq.trace_norm_estimate(KernelOperator("general", (a, b)),
+                                   refine=False).value
+    assert _trace_lower_bound(a, b) <= value <= wq.analytic_trace_bound(a, b)
+
+
+@pytest.mark.parametrize("name", ["free", "ising", "shg-b050",
+                                  "resonance-pi4"])
+def test_curve_trace_norms_inside_closed_form_bounds(name):
+    # every nuclearity-curve point of the catalogue model
+    cfg = load_config(f"catalogue:{name}")
+    S, nuc = cfg.model, cfg.nuclearity
+    for s in np.linspace(nuc.s_min, nuc.s_max, nuc.steps):
+        a, b = S.mass * s / 2, nuc.kappa / 2
+        value = modular_trace_norm(S, s, nuc.kappa, nodes=nuc.nodes,
+                                   refine=True).value
+        assert (_trace_lower_bound(a, b) / math.pi <= value
+                <= wq.analytic_trace_bound(a, b) / math.pi)
 
 
 def test_trace_norm_strong_damping_vanishes():
@@ -229,6 +291,28 @@ def test_find_s_min_root_within_tol(resonance):
                 * modular_trace_norm(resonance, s, kap).value - 1.0)
 
     assert objective(smin - tol) > 0 > objective(smin + tol)
+
+
+@pytest.mark.parametrize("name", ["shg-b050", "resonance-pi4"])
+def test_find_s_min_root_inside_its_closed_form_bracket(name):
+    cfg = load_config(f"catalogue:{name}")
+    S, kap = cfg.model, cfg.nuclearity.kappa
+    lo, hi = s_min_bracket(S, kap)
+
+    def product(s):
+        return wq.sigma(S, s, kap) * modular_trace_norm(S, s, kap).value
+
+    assert product(lo) > 1 > product(hi)
+    assert lo < wq.find_s_min(S, kap) < hi
+
+
+def test_find_s_min_past_a_fully_underflowed_kernel(resonance):
+    # at s = 1600 the damping underflows on every row, ||T_s||_1 = 0.0
+    kap = math.pi / 8
+    assert modular_trace_norm(resonance, 1600.0, kap).value == 0.0
+    lo, _ = s_min_bracket(resonance, kap)
+    smin = wq.find_s_min(resonance, kap, bracket=(lo, 1600.0))
+    assert abs(smin - wq.find_s_min(resonance, kap)) < 2e-4
 
 
 def test_find_s_min_bad_bracket(resonance):

@@ -24,10 +24,8 @@ from wedgeqft.config import load_config
 from wedgeqft.suites import suites_for_all
 
 # exported, but reported by no suite: the 1-D and Gaussian test
-# functions and the time-zero field, which only tests build, and the
-# closed-form trace bound
-PENDING = {"Bump1D", "Gaussian1D", "Gaussian2D", "timezero_field",
-           "analytic_trace_bound"}
+# functions and the time-zero field, which only tests build
+PENDING = {"Bump1D", "Gaussian1D", "Gaussian2D", "timezero_field"}
 
 
 def exported_callables():
