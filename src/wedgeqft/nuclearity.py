@@ -41,7 +41,6 @@ from functools import cache
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, ModelError, StripError
 from .quadrature import gauss_legendre
@@ -58,6 +57,13 @@ K0_NODES = 64
 EXP_UNDERFLOW = 745.0           # e^{-745} is the smallest subnormal double
 LOG_FLOOR = math.log(math.ulp(0.0))
 BRACKET_MARGIN = 1e-3
+BRENT_RTOL = 4 * np.finfo(float).eps
+BRENT_MAXITER = 100
+# Stirling's series for log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2,
+# B_2k / (2k (2k - 1)) for k = 1..5, used from z = STIRLING_MIN on; there
+# its first omitted term is below 1e-17, 3e-19 of log Gamma
+STIRLING_MIN = 20.0
+STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 
 
 def _tan_rule(scale, nodes):
@@ -297,6 +303,40 @@ def _bound_factor(S, s, kap, trace_norm, pauli):
     return x
 
 
+def _gammaln(z):
+    """log Gamma(z) for an array of z > 0: ``math.lgamma`` below
+    ``STIRLING_MIN``, one vectorized Stirling pass from there on.
+
+    The pass sums 1 / (12 z) and the further terms of ``STIRLING`` that
+    exceed 1e-18 of log Gamma at the smallest z (the terms decrease in k
+    there), so a chunk of large arguments takes one division, not a
+    Horner pass.
+    """
+    shape = np.shape(z)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    zmin = float(z.min(initial=math.inf))
+    at = max(zmin, STIRLING_MIN)
+    floor = 1e-18 * at * (math.log(at) - 1)
+    count = sum(abs(c) * at ** (-2 * k - 1) > floor
+                for k, c in enumerate(STIRLING))
+    terms = STIRLING[:max(count, 1)]
+    out = np.log(z)
+    out *= z - 0.5
+    out -= z
+    out += 0.5 * math.log(2 * math.pi)
+    # Horner in 1 / z^2, then one factor 1 / z
+    series = terms[-1]
+    if len(terms) > 1:
+        inv2 = 1 / (z * z)
+        for c in terms[-2::-1]:
+            series = series * inv2 + c
+    out += series / z
+    if zmin < STIRLING_MIN:
+        small = np.flatnonzero(z < STIRLING_MIN)
+        out[small] = [math.lgamma(v) for v in z[small].tolist()]
+    return out.reshape(shape)
+
+
 def log_sqrt_factorial_series(x):
     """log of sum_{n>=0} x^n / sqrt(n!), in memory that does not grow with x.
 
@@ -316,7 +356,7 @@ def log_sqrt_factorial_series(x):
     log_x = math.log(x)
 
     def log_terms(n):
-        return n * log_x - 0.5 * gammaln(n + 1.0)
+        return n * log_x - 0.5 * _gammaln(n + 1.0)
 
     peak = int(x * x)
     half = int(12 * math.sqrt(2) * x) + 50
@@ -343,6 +383,64 @@ def _log(x):
     return math.log(x) if x > 0 else LOG_FLOOR
 
 
+def _brentq(f, a, b, xtol):
+    """Root of f in [a, b] by Brent's zeroin, to xtol + ``BRENT_RTOL`` |x|.
+
+    Ported from SciPy's C ``brentq`` (scipy/optimize/Zeros/brentq.c;
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
+    3-clause licence) with its operation order and its defaults rtol =
+    4 eps and maxiter = 100, so it returns the same root bit for bit.
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4.
+    f(a) and f(b) must differ in sign; :class:`ConvergenceError` is raised
+    otherwise, and when ``BRENT_MAXITER`` steps do not meet the tolerance.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ConvergenceError(
+            f"f(a) = {fpre:.3g} and f(b) = {fcur:.3g} have the same sign")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"Brent's method took more than {BRENT_MAXITER} steps")
+
+
 def s_min_bracket(S, kap):
     """Closed-form bracket (lo, hi) of the root of sigma(s) ||T_s||_1 = 1.
 
@@ -351,20 +449,20 @@ def s_min_bracket(S, kap):
     :func:`_trace_lower_bound` and :func:`analytic_trace_bound` there, over
     pi; the Nystrom estimate does too.  Both sides times sigma decrease in
     s, so lo solves sigma * lower = 1 and hi solves sigma * upper = 1, each
-    by Brent's method in log s over (1e-6 / m, 1e3 / m).  Each end is then
-    moved outward by ``BRACKET_MARGIN`` relative, so that the sign of the
-    objective there rests on the bounds, not on a root tolerance.
+    by Brent's method (:func:`_brentq`) in log s over (1e-6 / m, 1e3 / m).
+    Each end is then moved outward by ``BRACKET_MARGIN`` relative, so that
+    the sign of the objective there rests on the bounds, not on a root
+    tolerance.
     """
     m = S.mass
-    from scipy.optimize import brentq   # imported on use, see find_s_min
 
     def root(trace_bound):
         def log_objective(u):
             s = math.exp(u)
             return _log(sigma(S, s, kap) * trace_bound(m * s / 2, kap / 2)
                         / math.pi)
-        return math.exp(brentq(log_objective, math.log(1e-6 / m),
-                               math.log(1e3 / m), xtol=1e-12))
+        return math.exp(_brentq(log_objective, math.log(1e-6 / m),
+                                math.log(1e3 / m), xtol=1e-12))
 
     return (root(_trace_lower_bound) * (1 - BRACKET_MARGIN),
             root(analytic_trace_bound) * (1 + BRACKET_MARGIN))
@@ -376,18 +474,19 @@ def find_s_min(S, kap, bracket=None, tol=1e-4, nodes=NODES_DEFAULT):
     The objective is strictly decreasing in s, so above the root the
     geometric bound series converges.  The default bracket is the closed
     form of :func:`s_min_bracket`.  The root is found by Brent's method
-    (``scipy.optimize.brentq``) on log(sigma ||T_s||_1), which is nearly
-    linear in s, with the unrefined ``nodes``-point trace norms; a product
-    that underflows to 0.0 counts as ``LOG_FLOOR``.
-    :class:`ConvergenceError` is raised when the objective does not change
-    sign over the bracket.  :func:`sigma` supplies ||S2||_kappa, computed
-    once per model and kappa.
+    (:func:`_brentq`, which interpolates and so takes about five
+    objective evaluations where bisection would take fifteen) on
+    log(sigma ||T_s||_1), which is nearly linear in s, with the unrefined
+    ``nodes``-point trace norms; a product that underflows to 0.0 counts
+    as ``LOG_FLOOR``.  :class:`ConvergenceError` is raised when the
+    objective does not change sign over the bracket.  :func:`sigma`
+    supplies ||S2||_kappa, computed once per model and kappa.
     """
     _require_bounded_family(S)
     if bracket is None:
         bracket = s_min_bracket(S, kap)
 
-    @cache          # brentq evaluates the two bracket ends again
+    @cache          # _brentq evaluates the two bracket ends again
     def objective(s):
         return _log(sigma(S, s, kap)
                     * modular_trace_norm(S, s, kap, nodes=nodes).value)
@@ -398,9 +497,7 @@ def find_s_min(S, kap, bracket=None, tol=1e-4, nodes=NODES_DEFAULT):
         raise ConvergenceError(
             f"no sign change in bracket {bracket}: log objective "
             f"f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}")
-    # imported on use: scipy.optimize adds about 0.25 s to `import wedgeqft`
-    from scipy.optimize import brentq
-    return brentq(objective, lo, hi, xtol=tol)
+    return _brentq(objective, lo, hi, xtol=tol)
 
 
 @dataclass(frozen=True)

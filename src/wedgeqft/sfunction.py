@@ -158,6 +158,83 @@ def kappa(S):
 _WINDOW = 30.0
 _MARGIN = 10.0
 _SAMPLES = 10_000
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXFUN = 500
+
+
+def _minimize_bounded(func, lo, hi, xatol):
+    """(x, func(x)) at a local minimum of ``func`` on [lo, hi].
+
+    Brent's fmin: golden-section steps with parabolic interpolation
+    (Brent, Algorithms for Minimization without Derivatives (1973), ch. 5).
+    Ported from SciPy's ``_minimize_scalar_bounded``
+    (scipy/optimize/_optimize.py; Copyright (c) 2001-2002 Enthought, Inc.
+    2003, SciPy Developers; BSD 3-clause licence) with its operation order,
+    so it returns the same point and value bit for bit; like it, it stops
+    after ``_MAXFUN`` evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            # parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
 
 
 @cache
@@ -179,9 +256,9 @@ def strip_sup_norm(S, kap):
     can therefore hold the sup only if its highest sample is at least
     (1 - h^2 / (8 d^2)) times the highest sample overall.  Each such local
     maximum of the scan is refined by bounded Brent minimization of -f
-    between its two neighbouring samples, which bracket the peak.  Without
-    the threshold the roundoff ripple of the flat tails at |S2| ~ 1 would
-    add thousands of local maxima per scan.
+    (:func:`_minimize_bounded`) between its two neighbouring samples, which
+    bracket the peak.  Without the threshold the roundoff ripple of the
+    flat tails at |S2| ~ 1 would add thousands of local maxima per scan.
     """
     kmax = kappa(S)
     if not (0.0 < kap < kmax):
@@ -192,9 +269,6 @@ def strip_sup_norm(S, kap):
             "requires a = 0")
     if not S.zeros:
         return 1.0
-    # imported on use: scipy.optimize adds about 0.25 s to `import wedgeqft`
-    from scipy.optimize import minimize_scalar
-
     window = max(_WINDOW, max(abs(b.real) for b in S.zeros) + _MARGIN)
     samples = math.ceil(_SAMPLES * window / _WINDOW)
     t, h = np.linspace(-window, window, samples, retstep=True)
@@ -209,11 +283,10 @@ def strip_sup_norm(S, kap):
         # offsets from t[i], so Brent's relative tolerance sqrt(eps)|x|
         # is set by the spacing, not by |t|; within 1e-12 of the peak f
         # is flat to roundoff
-        res = minimize_scalar(
+        _, fun = _minimize_bounded(
             lambda u: -abs(evaluate(S, t[i] + u - 1j * kap)),
-            bounds=(t[i - 1] - t[i], t[i + 1] - t[i]), method="bounded",
-            options={"xatol": 1e-12})
-        best = max(best, -float(res.fun))
+            t[i - 1] - t[i], t[i + 1] - t[i], xatol=1e-12)
+        best = max(best, -float(fun))
     return best
 
 

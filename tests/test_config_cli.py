@@ -248,6 +248,30 @@ def test_python_m_entry_point_schema():
     assert "verify-locality" in json.loads(proc.stdout)
 
 
+SCIPY_FREE_RUN = """
+import sys
+import wedgeqft.cli
+import wedgeqft as wq
+from wedgeqft.config import load_config
+cfg = load_config("catalogue:shg-b050")
+wq.strip_sup_norm(cfg.model, cfg.nuclearity.kappa)
+wq.find_s_min(cfg.model, cfg.nuclearity.kappa)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    # numpy is the only runtime dependency: the CLI import, a model load
+    # and the two searches that once used scipy.optimize load no scipy
+    src = str(pathlib.Path(wq.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_benchmark_scripts_reach_the_package(tmp_path):
     # perfbench/ drives the package from outside, through load_config,
     # run_suites, assemble_report and main; a renamed entry point must fail

@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 
 import wedgeqft as wq
+import wedgeqft.nuclearity as nuclearity
 from wedgeqft.config import load_config
 from wedgeqft.errors import ConvergenceError, ModelError, StripError
-from wedgeqft.nuclearity import (REFINE_TOL, KernelOperator, _bessel_k0,
+from wedgeqft.nuclearity import (REFINE_TOL, STIRLING_MIN, KernelOperator,
+                                 _bessel_k0, _brentq, _gammaln,
                                  _nystrom_matrix, _trace_lower_bound,
                                  log_sqrt_factorial_series,
                                  log_xi_bound_minus, modular_trace_norm,
@@ -406,3 +409,76 @@ def test_fully_underflowing_kernel_has_empty_spectrum():
     assert wq.singular_values(K).shape == (0,)
     r = wq.trace_norm_estimate(K, refine=True)
     assert r.value == 0.0 and r.converged
+
+
+def _recorded(f):
+    """f, recording each point it is evaluated at."""
+    def wrapped(x):
+        wrapped.points.append(x)
+        return f(x)
+    wrapped.points = []
+    return wrapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(1e-3, 100.0),
+       st.floats(0.0, 1.0), st.floats(0.01, 5.0),
+       st.sampled_from(["linear", "cubic", "exp", "atan"]),
+       st.sampled_from([1e-12, 1e-8, 1e-4, 1e-1]))
+def test_brentq_port_matches_scipy_bit_for_bit(lo, width, where, k, shape,
+                                               xtol):
+    # the same root and the same sequence of evaluation points, on monotone
+    # functions of several curvatures whose root sits anywhere in [lo, hi]
+    hi = lo + width
+    root = lo + where * width
+    f = {"linear": lambda x: k * (x - root),
+         "cubic": lambda x: (x - root) * (1 + k * (x - root) ** 2),
+         "exp": lambda x: math.expm1(k * (x - root)),
+         "atan": lambda x: math.atan(k * (x - root))}[shape]
+    ours, theirs = _recorded(f), _recorded(f)
+    got = _brentq(ours, lo, hi, xtol=xtol)
+    want = scipy.optimize.brentq(theirs, lo, hi, xtol=xtol)
+    assert got.hex() == want.hex()
+    assert ours.points == theirs.points
+
+
+def test_brentq_port_sign_error_and_root_at_an_end():
+    with pytest.raises(ConvergenceError):
+        _brentq(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-12)
+    assert _brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+
+
+@pytest.mark.parametrize("name", ["free", "ising", "shg-b050",
+                                  "resonance-pi4"])
+def test_s_min_searches_match_scipy_brentq(name, monkeypatch):
+    # every root search of s_min_bracket and find_s_min, replayed through
+    # scipy's brentq on the same objective; find_s_min's objective is
+    # cached, so the replay costs no SVD
+    cfg = load_config(f"catalogue:{name}")
+    S, kap = cfg.model, cfg.nuclearity.kappa
+    port, calls = _brentq, []
+
+    def spy(f, a, b, xtol):
+        root = port(f, a, b, xtol)
+        calls.append(root)
+        assert root.hex() == scipy.optimize.brentq(f, a, b, xtol=xtol).hex()
+        return root
+
+    monkeypatch.setattr(nuclearity, "_brentq", spy)
+    wq.find_s_min(S, kap)
+    assert len(calls) == 3
+
+
+def test_gammaln_against_mpmath():
+    # in one array the smallest z sets the Stirling terms for all; alone,
+    # each value sets its own
+    z = np.unique(np.concatenate([np.arange(1.0, 200.0),
+                                  np.round(np.logspace(0, 13, 300))]))
+    got = _gammaln(z)
+    for zi, gi in zip(z.tolist(), got.tolist()):
+        want = mpmath.loggamma(zi)
+        alone = float(_gammaln(zi))
+        assert abs(gi - want) <= 1e-15 * abs(want), zi
+        assert abs(alone - want) <= 1e-15 * abs(want), zi
+    small = z < STIRLING_MIN
+    assert got[small].tolist() == [math.lgamma(v) for v in z[small].tolist()]

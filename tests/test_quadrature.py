@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from wedgeqft.fields import _bump_profile
 from wedgeqft.quadrature import gauss_legendre
 
 NODE_TOL = 1e-15
@@ -66,3 +67,42 @@ def test_gauss_legendre_is_mirror_symmetric(n):
     x, w = gauss_legendre(n)
     assert np.array_equal(x[::-1], -x)
     assert np.array_equal(w[::-1], w)
+
+
+@pytest.fixture(scope="module")
+def bump_integral():
+    """The integral of exp(-1 / (1 - u^2)) over [-1, 1], to 30 digits."""
+    with mpmath.workdps(30):
+        return 2 * mpmath.quad(lambda u: mpmath.exp(-1 / (1 - u * u)),
+                               [0, 0.5, 1])
+
+
+@pytest.mark.parametrize("n", [2048, 8192])
+def test_gauss_legendre_integrates_the_bump_to_roundoff(n, bump_integral):
+    # the bump profile's quadrature error is far below roundoff at these
+    # orders, so the sum measures the rule alone; scipy's roots_legendre
+    # misses by 2.9e-13 at 2048 and 7.2e-14 at 8192
+    x, w = gauss_legendre(n)
+    got = float(np.sum(_bump_profile(x) * w))
+    assert abs(got - bump_integral) <= 1e-15 * bump_integral
+
+
+@pytest.mark.parametrize("n", [400, 1600])
+def test_gauss_legendre_end_weight_to_roundoff(n):
+    # the end weights are where 1 - x^2 from a rounded node loses digits;
+    # scipy's roots_legendre misses by 5.2e-10 at 400 and 1.2e-7 at 1600
+    _, w = gauss_legendre(n)
+    _, ref_w = _reference_node(n, 0)
+    assert abs(float((w[0] - ref_w) / ref_w)) <= 1e-11
+    assert w[-1] == w[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 283, 566])
+def test_gauss_legendre_small_and_odd_orders(n):
+    # an odd order has an exact 0 node; every order integrates x^(2n-2)
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) > 0)
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert math.isclose(float(np.sum(w * x ** (2 * n - 2))), 2 / (2 * n - 1),
+                        rel_tol=1e-13)

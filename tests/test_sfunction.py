@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+import scipy.optimize
 
 import wedgeqft as wq
+import wedgeqft.sfunction as sfunction
+from wedgeqft.config import load_config
 from wedgeqft.errors import ModelError, PoleProximityError, StripError
 from wedgeqft.sfunction import ScatteringFunction
 
@@ -150,11 +153,13 @@ def test_strip_sup_norm_property_against_dense_scan(zeros):
     assert val <= oracle * (1 + 1e-3)
 
 
+THREE_PEAKS = [6.8078 + 0.27037j, 4.9271 + 0.065116j, 8.8718 + 0.065072j]
+
+
 def test_strip_sup_norm_refines_every_candidate_peak():
     # the highest scan sample sits on the peak at t ~ -8.872, but the sup,
     # 3.016891, is at t ~ -4.927
-    S = wq.build_model(+1, zeros=[6.8078 + 0.27037j, 4.9271 + 0.065116j,
-                                  8.8718 + 0.065072j])
+    S = wq.build_model(+1, zeros=THREE_PEAKS)
     assert wq.strip_sup_norm(S, wq.kappa(S) / 2) >= 3.01689
 
 
@@ -191,3 +196,29 @@ def test_hermitian_analyticity_and_crossing_samples(shg):
     assert_allclose(np.conj(v), wq.evaluate(shg, -t), atol=1e-13)
     assert_allclose(wq.evaluate(shg, t + 1j * math.pi),
                     wq.evaluate(shg, -t), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["catalogue:shg-b050",
+                                  "catalogue:resonance-pi4", "three-peaks"])
+def test_peak_refinement_matches_scipy_minimize_scalar(name, monkeypatch):
+    # every peak refinement of strip_sup_norm, replayed through scipy's
+    # bounded minimizer on the same lambda and bounds
+    if name == "three-peaks":
+        S = wq.build_model(+1, zeros=THREE_PEAKS)
+    else:
+        S = load_config(name).model
+    port, calls = sfunction._minimize_bounded, []
+
+    def spy(func, lo, hi, xatol):
+        x, fun = port(func, lo, hi, xatol)
+        res = scipy.optimize.minimize_scalar(
+            func, bounds=(lo, hi), method="bounded",
+            options={"xatol": xatol})
+        assert float(x).hex() == float(res.x).hex()
+        assert float(fun).hex() == float(res.fun).hex()
+        calls.append(x)
+        return x, fun
+
+    monkeypatch.setattr(sfunction, "_minimize_bounded", spy)
+    sfunction.strip_sup_norm.__wrapped__(S, wq.kappa(S) / 2)
+    assert calls
