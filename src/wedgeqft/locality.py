@@ -7,7 +7,8 @@ two integrands are boundary values of one function analytic in the
 physical strip, so the integrals cancel; the checks below evaluate both
 integrals, their sum, and the strip-shift mechanism behind the
 cancellation, then repeat the statement at operator level on truncated
-vectors.
+vectors.  The operator check runs level by level; its top level, where only
+the creators act, is built in blocks of columns and never as a whole tensor.
 
 The mass-shell restrictions f^{+-}, g^{+-} on a quadrature line do not
 depend on S2 or on the spectators, so one contour check computes each of
@@ -22,9 +23,12 @@ import math
 import numpy as np
 
 from .errors import TailError, WedgeQFTError
-from .fields import field_norm_scale, field_phi, field_phi_prime, in_wedge, mass_shell
+from .fields import (field_norm_scale, field_phi, field_phi_prime, in_wedge,
+                     mass_shell, sample_mass_shell)
+from .fock import (FockVector, _check_tensor_budget, _insert_slice, annihilate,
+                   create, reflect_j)
 from .quadrature import gauss_legendre
-from .sfunction import evaluate
+from .sfunction import evaluate, node_matrix
 
 WINDOW_DEFAULT = 8.0
 ORDER_DEFAULT = 2048
@@ -33,6 +37,9 @@ TAIL_TOL = 1e-10
 # the tail estimate integrates |integrand| over |t| >= (1 - _TAIL_BAND) times
 # the window; the end nodes alone carry tiny Gauss-Legendre weights
 _TAIL_BAND = 0.05
+# entries of one streamed block of the operator check's top level; each
+# block is a few such arrays, so small blocks keep the check's peak small
+BLOCK_ELEMENTS = 2 ** 18
 
 
 def _gl_line(window, order):
@@ -161,19 +168,81 @@ def refinement_study(S, f, g, spectators, orders, window=WINDOW_DEFAULT):
     return out
 
 
+def _field_below_top(S, plus, minus, V):
+    """Levels 0..V.n_max of create(plus) + annihilate(minus) on V.
+
+    Each level is computed as :func:`fields.field_phi` computes it; only
+    the top level V.n_max + 1, which the creator alone reaches, is left out.
+    """
+    head = FockVector(V.grid, V.components[:-1])
+    return create(S, plus, head).add(annihilate(S, minus, V))
+
+
+def _top_level_sq(S, grid, fs_plus, jx_top, g_plus, y_top):
+    """||lhs_n - rhs_n||_w^2 at the top level n = y_top.ndim + 1, streamed.
+
+    Only the creators reach level n: lhs_n = J n^{-1/2} I_0(f*+ x (JX)_{n-1})
+    and rhs_n = n^{-1/2} I_0(g+ x Y_{n-1}).  The level is built in blocks of
+    columns of its last axis, each of at most ``BLOCK_ELEMENTS`` entries
+    (one column at the least).  The columns of J T are T's rows on axis 0,
+    conjugated with their axes reversed.  Each block is contracted with the
+    weights from axis 0 on, as ``FockVector.norm`` contracts a whole level,
+    and the column sums are contracted last.
+    """
+    n = y_top.ndim + 1
+    _check_tensor_budget(grid.count, n, whole=False)
+    M = node_matrix(S, grid)
+    w = grid.weights
+    root = math.sqrt(n)
+    width = max(1, BLOCK_ELEMENTS // grid.count ** (n - 1))
+    column_sums = np.empty(grid.count, dtype=complex)
+    for start in range(0, grid.count, width):
+        cols = slice(start, start + width)
+        lhs = _insert_slice(M, fs_plus.values, jx_top, cols, 0)
+        lhs /= root
+        d = np.conj(lhs.T, order="C")
+        del lhs
+        rhs = _insert_slice(M, g_plus.values, y_top, cols, -1)
+        rhs /= root
+        d -= rhs
+        del rhs
+        t = np.conj(d)
+        t *= d
+        for _ in range(n - 1):
+            t = np.tensordot(t, w, axes=([0], [0]))
+        column_sums[cols] = t
+    return float(np.real(np.tensordot(column_sums, w, axes=([0], [0]))))
+
+
 def verify_operator_commutator(S, f, g, Phi, check_support=True):
     """|| [phi'(f), phi(g)] Phi || / ||Phi|| per unit field scale.
 
     The residual is divided by the product of the natural operator scales
     ||f+|| + ||f-|| and ||g+|| + ||g-||, so a fixed tolerance is
     meaningful regardless of test-function amplitudes.
+
+    The check runs level by level.  X = phi(g) Phi and Y = phi'(f) Phi are
+    built whole, and so is every level of phi'(f) X and phi(g) Y up to
+    Phi.n_max + 1, each with the arithmetic of the field functions.  The
+    top level Phi.n_max + 2, whose rank-(n_max + 2) tensor is never built,
+    is streamed in blocks (see :func:`_top_level_sq`).
     """
     if check_support:
         _require_wedge_separation(f, g)
-    lhs = field_phi_prime(S, f, field_phi(S, g, Phi))
-    rhs = field_phi(S, g, field_phi_prime(S, f, Phi))
-    resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
-    scale = (field_norm_scale(S, f, Phi.grid)
-             * field_norm_scale(S, g, Phi.grid))
+    grid = Phi.grid
+    gp, gm = (sample_mass_shell(g, s, grid, mass=S.mass) for s in (+1, -1))
+    fsp, fsm = (sample_mass_shell(f.star(), s, grid, mass=S.mass)
+                for s in (+1, -1))
+    jx = reflect_j(field_phi(S, g, Phi))
+    y = field_phi_prime(S, f, Phi)
+    lhs = reflect_j(_field_below_top(S, fsp, fsm, jx))
+    rhs = _field_below_top(S, gp, gm, y)
+    norm_sq = lhs.sub(rhs).norm_sq()
+    del lhs, rhs
+    norm_sq += _top_level_sq(S, grid, fsp, jx.components[-1], gp,
+                             y.components[-1])
+    resid = math.sqrt(norm_sq) / max(Phi.norm(), 1e-300)
+    scale = (field_norm_scale(S, f, grid)
+             * field_norm_scale(S, g, grid))
     resid /= max(scale, 1e-300)
     return float(resid)

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 import wedgeqft as wq
+from wedgeqft.fields import field_norm_scale, field_phi, field_phi_prime
 from wedgeqft.fock import FockVector, _on_axes
 from wedgeqft.nuclearity import _nystrom_matrix
 
@@ -37,6 +38,18 @@ def create_via_projection(S, psi, Phi):
         prod = np.multiply.outer(psi.values, Phi.component(n - 1))
         comps[n] = math.sqrt(n) * symmetrize_by_permutations(S, prod, grid)
     return FockVector(grid, comps)
+
+
+def operator_commutator_dense(S, f, g, Phi):
+    """The operator-level locality residual from both field applications
+    built whole: every level of phi'(f) phi(g) Phi and phi(g) phi'(f) Phi,
+    the top one included, is a dense tensor."""
+    lhs = field_phi_prime(S, f, field_phi(S, g, Phi))
+    rhs = field_phi(S, g, field_phi_prime(S, f, Phi))
+    resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
+    scale = (field_norm_scale(S, f, Phi.grid)
+             * field_norm_scale(S, g, Phi.grid))
+    return float(resid / max(scale, 1e-300))
 
 
 def state_via_projection(S, packet, reverse=False):

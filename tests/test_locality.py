@@ -1,12 +1,14 @@
 
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import wedgeqft as wq
-from wedgeqft import locality, suites
+from oracles import operator_commutator_dense
+from wedgeqft import fock, locality, suites
 from wedgeqft.config import load_config
-from wedgeqft.errors import TailError, WedgeQFTError
+from wedgeqft.errors import TailError, TruncationCapError, WedgeQFTError
 from wedgeqft.locality import RESIDUAL_FLOOR
 
 
@@ -218,6 +220,67 @@ def test_operator_commutator_wrong_wedges_generic_model(shg, wedge_pair, rng):
     Phi = wq.random_fock(shg, grid, 1, rng)
     resid = wq.verify_operator_commutator(shg, g, f, Phi, check_support=False)
     assert resid > 1e-2
+
+
+@pytest.mark.parametrize("count, n_max", [(41, 1), (41, 2), (81, 1)])
+def test_operator_commutator_matches_dense_reference(catalogue, wedge_pair,
+                                                     rng, count, n_max):
+    # n_max = 2 streams a rank-4 top level, and its lower levels have both
+    # creator and annihilator parts; the dense rank-4 reference does not
+    # fit the budget at 81 nodes.  The swapped pair is the negative control
+    f, g = wedge_pair
+    grid = wq.RapidityGrid(6.0, count)
+    for S in catalogue.values():
+        Phi = wq.random_fock(S, grid, n_max, rng)
+        for a, b in ((f, g), (g, f)):
+            got = wq.verify_operator_commutator(S, a, b, Phi,
+                                                check_support=False)
+            want = operator_commutator_dense(S, a, b, Phi)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_operator_commutator_blocks_of_unequal_size(catalogue, wedge_pair,
+                                                    rng, monkeypatch):
+    # four columns of 41^2 entries per block: ten blocks of four and one of one
+    f, g = wedge_pair
+    grid = wq.RapidityGrid(6.0, 41)
+    monkeypatch.setattr(locality, "BLOCK_ELEMENTS", 4 * 41 ** 2)
+    for S in catalogue.values():
+        Phi = wq.random_fock(S, grid, 1, rng)
+        want = operator_commutator_dense(S, f, g, Phi)
+        assert abs(wq.verify_operator_commutator(S, f, g, Phi) - want) \
+            <= 1e-12 * want
+
+
+def test_operator_commutator_memory_is_streamed(shg, wedge_pair, rng):
+    # the dense check held several rank-3 tensors of 161^3 entries (64 MiB
+    # each) at once and peaked at 256 MiB
+    f, g = wedge_pair
+    Phi = wq.random_fock(shg, wq.RapidityGrid(6.0, 161), 1, rng)
+    tracemalloc.start()
+    try:
+        wq.verify_operator_commutator(shg, f, g, Phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_operator_commutator_top_level_outside_dense_budget(
+        shg, wedge_pair, rng, monkeypatch):
+    # with the budget at 41^2 the rank-3 top level at 41 nodes is over it;
+    # it is never built, so the check still runs, while a level that is
+    # built (rank n_max + 1) still has to fit
+    f, g = wedge_pair
+    grid = wq.RapidityGrid(6.0, 41)
+    Phi = wq.random_fock(shg, grid, 1, rng)
+    Phi2 = wq.random_fock(shg, grid, 2, rng)
+    want = operator_commutator_dense(shg, f, g, Phi)
+    monkeypatch.setattr(fock, "MAX_TENSOR_ELEMENTS", 41 ** 2)
+    assert abs(wq.verify_operator_commutator(shg, f, g, Phi) - want) \
+        <= 1e-12 * want
+    with pytest.raises(TruncationCapError):
+        wq.verify_operator_commutator(shg, f, g, Phi2)
 
 
 def test_strip_bound_heuristic(shg, wedge_pair, rng):
