@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_SEED, load_config
 from .errors import ConfigError, ConvergenceError, WedgeQFTError
+from .sfunction import SUP_RTOL
 from .suites import SUITES, suites_for_all
 
 _SUITE_INDEX = {name: i for i, name in enumerate(SUITES)}
@@ -187,7 +188,9 @@ def _nuclearity_report(cfg, results):
            "notes": ["sigma(s, kappa) absorbs the half/half distance splitting",
                      "trace norms from tan-compactified Nystrom discretization",
                      "free-Bose determinant uses unprojected singular values "
-                     "(conservative surrogate)"]}
+                     "(conservative surrogate)",
+                     "sup_norm is a certified upper bound on ||S2||_kappa, "
+                     f"at most {SUP_RTOL:g} relative above it"]}
     for name in sources:
         res = results[name]
         if name == "nuclearity-curve":

@@ -8,8 +8,8 @@ in the half-strip 0 < Im(beta) <= pi/2 of the rapidity plane:
 On the real line S2 is a phase and satisfies unitarity, crossing and
 hermitian analyticity; these identities are what :func:`verify_relations`
 samples.  The derived quantities computed here (analyticity margin of the
-zero set, sup norm on an enlarged strip, node matrices) feed the Fock,
-locality and nuclearity checks downstream.
+zero set, a certified upper bound of the sup norm on an enlarged strip,
+node matrices) feed the Fock, locality and nuclearity checks downstream.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import ModelError, PoleProximityError, StripError
+from .errors import (ConvergenceError, ModelError, PoleProximityError,
+                     StripError)
 
 HALF_PI = math.pi / 2
 
@@ -152,113 +153,76 @@ def kappa(S):
     return min(HALF_PI, min(b.imag for b in S.zeros))
 
 
-# strip_sup_norm search: the scan covers at least |t| <= _WINDOW and every
-# zero's real part plus _MARGIN (the peaks of |S2(t - i kappa)| sit at
-# t = +-Re b), with the sample spacing of _SAMPLES over the base window
-_WINDOW = 30.0
-_MARGIN = 10.0
-_SAMPLES = 10_000
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_MAXFUN = 500
+# spacing of the start scan of strip_sup_norm: 600 samples per 60 in t
+_SPACING = 0.1
+# relative slack of strip_sup_norm over ||S2||_kappa
+SUP_RTOL = 1e-12
+# cells strip_sup_norm may halve in one call before it raises
+MAX_HALVINGS = 100_000
 
 
-def _minimize_bounded(func, lo, hi, xatol):
-    """(x, func(x)) at a local minimum of ``func`` on [lo, hi].
+def _log_modulus(S, t, kap):
+    return np.log(np.abs(evaluate(S, t - 1j * kap)))
 
-    Brent's fmin: golden-section steps with parabolic interpolation
-    (Brent, Algorithms for Minimization without Derivatives (1973), ch. 5).
-    Ported from SciPy's ``_minimize_scalar_bounded``
-    (scipy/optimize/_optimize.py; Copyright (c) 2001-2002 Enthought, Inc.
-    2003, SciPy Developers; BSD 3-clause licence) with its operation order,
-    so it returns the same point and value bit for bit; like it, it stops
-    after ``_MAXFUN`` evaluations.
+
+def _cell_bounds(sb, kap, lo, hi, g_lo, g_hi):
+    """Upper bounds of g(t) = log|S2(t - i*kappa)| on the cells [lo, hi],
+    for the zeros b_k with sinh b_k = ``sb``.
+
+    A C^2 function with |g''| <= M on a cell of width h stays below the
+    larger end value plus M h^2 / 8.  With w = sinh z, z = t - i*kappa and
+    P_k = |sinh b_k - w| |sinh b_k + w|, the k-th factor of S2 adds
+    2 |sinh b_k| |w| (1 + 2 |cosh z|^2 / P_k) / P_k to a bound of |g''|.
+    |sinh z| and |cosh z| grow with |t|, so their values at the cell's
+    larger |t| bound them; |cosh z| also bounds |dw/dt|, so each
+    |sinh b_k -+ w| is at least its smaller end value minus |cosh z| h / 2.
+    A cell where that lower bound is not positive gets an infinite bound.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:
-            # parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAXFUN:
-            break
-    return xf, fx
+    h = hi - lo
+    sh = np.sinh(np.maximum(np.abs(lo), np.abs(hi)))
+    cosh_max = np.hypot(sh, math.cos(kap))
+    sinh_max = np.hypot(sh, math.sin(kap))
+    u = np.concatenate((sb, -sb))[:, None]
+    near = np.minimum(np.abs(u - np.sinh(lo - 1j * kap)),
+                      np.abs(u - np.sinh(hi - 1j * kap)))
+    d = np.maximum(near - cosh_max * h / 2, 0.0)
+    p = d[:sb.size] * d[sb.size:]
+    with np.errstate(divide="ignore"):
+        m = np.abs(sb)[:, None] * (1 + 2 * cosh_max ** 2 / p) / p
+    return np.maximum(g_lo, g_hi) + sinh_max * m.sum(axis=0) * h * h / 4
 
 
 @cache
 def strip_sup_norm(S, kap):
-    """Sup of |S2| over the closed strip S(-kappa, pi+kappa), memoized per
-    (model, kappa): every bound that uses ||S2||_kappa calls this for it.
+    """Certified upper bound of ||S2||_kappa, the sup of |S2| over the
+    closed strip S(-kappa, pi+kappa), at most ``SUP_RTOL`` relative above
+    it.  Memoized per (model, kappa): every bound that uses ||S2||_kappa
+    calls this for it.  Requires a = 0 (otherwise the sup is infinite) and
+    0 < kappa < kappa(S).
 
-    By the boundary symmetries it suffices to maximize f(t) = |S2(t - i*kappa)|
-    over real t; |S2| <= 1 holds on the physical strip so the result is
-    floored at 1.  The scan window reaches past every zero's real part,
-    and the tail limit |S2| -> 1 covers |t| beyond it.
-    Requires a = 0 (otherwise the sup is infinite) and kappa < kappa(S).
+    By the boundary symmetries and the maximum principle the sup is that
+    of g(t) = log|S2(t - i*kappa)| over real t, exponentiated, and at least
+    1 (|S2| = 1 on the real line).  Beyond |t| = W each factor of S2 has
+    modulus at most (sinh W + |sinh b_k|) / (sinh W - |sinh b_k|), because
+    |sinh z| >= sinh |t|; W is chosen so that these tail bounds multiply
+    to about exp(SUP_RTOL / 4).  A uniform scan of |t| <= W splits it
+    into cells, each bounded by :func:`_cell_bounds`.  Every cell whose
+    bound exceeds the largest value known (the samples, the floor 0 and
+    the tail bound) by more than SUP_RTOL / 2 is halved at its midpoint,
+    until none does; the result is exp(largest + SUP_RTOL).  The other
+    half of SUP_RTOL covers rounding: each factor of :func:`evaluate`
+    carries a few ulps, about 1e-15 in g at kappa = kappa(S) / 2.  That
+    error grows like 1 / |sinh b_k + sinh z| as the line nears a pole, so
+    close to kappa(S) it can exceed SUP_RTOL / 2 (for a zero at i*pi/2 it
+    does at kappa = kappa(S)(1 - 1e-3)), and the result is then certified
+    only up to that rounding.
 
-    Which scan peaks are refined: the poles of S2 sit at -b_k, at least
-    d = kappa(S) - kappa below the scan line.  Near a peak f is dominated by
-    the nearest pole, f(t) ~ c / sqrt((t - t*)^2 + delta^2) with delta >= d,
-    so f''(t*) = -f(t*) / delta^2 and a sample within h/2 of t* (h the scan
-    spacing) lies at most f(t*) h^2 / (8 d^2) below the peak value.  A peak
-    can therefore hold the sup only if its highest sample is at least
-    (1 - h^2 / (8 d^2)) times the highest sample overall.  Each such local
-    maximum of the scan is refined by bounded Brent minimization of -f
-    (:func:`_minimize_bounded`) between its two neighbouring samples, which
-    bracket the peak.  Without the threshold the roundoff ripple of the
-    flat tails at |S2| ~ 1 would add thousands of local maxima per scan.
+    Raises :class:`ConvergenceError`, rather than return a value it cannot
+    certify, when the bisection would halve more than ``MAX_HALVINGS``
+    cells or a cell too narrow to have a midpoint strictly inside it.  The
+    budget runs out when kappa is tiny against kappa(S) (1e-8 kappa(S) on
+    models of one to three zeros): g is then so flat that the cells must
+    resolve it to its own size.
     """
     kmax = kappa(S)
     if not (0.0 < kap < kmax):
@@ -269,25 +233,35 @@ def strip_sup_norm(S, kap):
             "requires a = 0")
     if not S.zeros:
         return 1.0
-    window = max(_WINDOW, max(abs(b.real) for b in S.zeros) + _MARGIN)
-    samples = math.ceil(_SAMPLES * window / _WINDOW)
-    t, h = np.linspace(-window, window, samples, retstep=True)
-    vals = np.abs(evaluate(S, t - 1j * kap))
-    top = float(np.max(vals))
-    floor = top * (1 - h * h / (8 * (kmax - kap) ** 2))
-    inner = vals[1:-1]
-    peaks = 1 + np.flatnonzero((inner > vals[:-2]) & (inner >= vals[2:])
-                               & (inner >= floor))
-    best = max(1.0, top)
-    for i in peaks:
-        # offsets from t[i], so Brent's relative tolerance sqrt(eps)|x|
-        # is set by the spacing, not by |t|; within 1e-12 of the peak f
-        # is flat to roundoff
-        _, fun = _minimize_bounded(
-            lambda u: -abs(evaluate(S, t[i] + u - 1j * kap)),
-            t[i - 1] - t[i], t[i + 1] - t[i], xatol=1e-12)
-        best = max(best, -float(fun))
-    return best
+    sb = np.sinh(np.array(S.zeros))
+    window = math.asinh(8 * np.abs(sb).sum() / SUP_RTOL)
+    t = np.linspace(-window, window, math.ceil(2 * window / _SPACING) + 1)
+    g = _log_modulus(S, t, kap)
+    sw = math.sinh(window)
+    tail = float(np.log((sw + np.abs(sb)) / (sw - np.abs(sb))).sum())
+    top = max(0.0, tail, float(g.max()))
+    lo, hi, g_lo, g_hi = t[:-1], t[1:], g[:-1], g[1:]
+    halved = 0
+    while True:
+        split = _cell_bounds(sb, kap, lo, hi, g_lo, g_hi) > top + SUP_RTOL / 2
+        if not split.any():
+            return math.exp(top + SUP_RTOL)
+        lo, hi, g_lo, g_hi = lo[split], hi[split], g_lo[split], g_hi[split]
+        halved += lo.size
+        if halved > MAX_HALVINGS:
+            raise ConvergenceError(
+                f"strip sup norm at kappa={kap} needs more than "
+                f"{MAX_HALVINGS} cell halvings")
+        mid = 0.5 * (lo + hi)
+        if np.any((mid <= lo) | (mid >= hi)):
+            raise ConvergenceError(
+                f"strip sup norm at kappa={kap} needs cells narrower than "
+                "the float spacing")
+        g_mid = _log_modulus(S, mid, kap)
+        top = max(top, float(g_mid.max()))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        g_lo = np.concatenate((g_lo, g_mid))
+        g_hi = np.concatenate((g_mid, g_hi))
 
 
 def node_matrix(S, grid):

@@ -4,13 +4,16 @@ Each one builds its object literally from the definition (sums over all
 n! permutations, explicit tensor products, every term of a series), so it
 shares no kernel with the code under test.  The dense Nystrom spectrum
 shares only the matrix assembly: what it checks is the real, row-trimmed
-reduction that ``singular_values`` applies to that matrix.
+reduction that ``singular_values`` applies to that matrix.  The strip sup
+norm reference shares only ``evaluate``: it maximizes by scipy's optimizer,
+not by the certified bisection.
 """
 
 from itertools import permutations
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import wedgeqft as wq
@@ -119,3 +122,25 @@ def log_sqrt_factorial_full_sum(x):
     logs = n * math.log(x) - 0.5 * gammaln(n + 1.0)
     m = float(np.max(logs))
     return m + math.log(float(np.sum(np.exp(logs - m))))
+
+
+def strip_sup_scipy(S, kap, half_width, spacing=1e-3, peaks=10):
+    """Reference ||S2||_kappa from below: the ``peaks`` highest local maxima
+    of a dense scan of |S2(t - i kappa)| over |t| <= half_width, each refined
+    by scipy's bounded Brent minimizer between its neighbouring samples, and
+    the real-line floor 1.
+    """
+    t = np.arange(-half_width, half_width + spacing, spacing)
+    f = np.abs(wq.evaluate(S, t - 1j * kap))
+    inner = f[1:-1]
+    tops = 1 + np.flatnonzero((inner > f[:-2]) & (inner >= f[2:]))
+    best = 1.0
+    for i in tops[np.argsort(f[tops])[-peaks:]]:
+        # offsets from t[i], so Brent's relative tolerance sqrt(eps)|x| is
+        # set by the spacing, not by |t|
+        res = minimize_scalar(
+            lambda u: -abs(wq.evaluate(S, t[i] + u - 1j * kap)),
+            bounds=(-spacing, spacing), method="bounded",
+            options={"xatol": 1e-12})
+        best = max(best, f[i], -res.fun)
+    return float(best)
