@@ -59,11 +59,6 @@ LOG_FLOOR = math.log(math.ulp(0.0))
 BRACKET_MARGIN = 1e-3
 BRENT_RTOL = 4 * np.finfo(float).eps
 BRENT_MAXITER = 100
-# Stirling's series for log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2,
-# B_2k / (2k (2k - 1)) for k = 1..5, used from z = STIRLING_MIN on; there
-# its first omitted term is below 1e-17, 3e-19 of log Gamma
-STIRLING_MIN = 20.0
-STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 
 
 def _tan_rule(scale, nodes):
@@ -275,7 +270,7 @@ def xi_bound_distal(S, s, kap, trace_norm):
 
     ``trace_norm`` is the ||T_s||_1 the caller reports next to the bound.
     """
-    x = _bound_factor(S, s, kap, trace_norm, pauli=False)
+    x = sigma(S, s, kap) * trace_norm
     if x >= 1.0:
         return math.inf
     return 1.0 / (1.0 - x)
@@ -291,91 +286,51 @@ def log_xi_bound_minus(S, s, kap, trace_norm):
     """
     if S.epsilon != -1:
         raise ModelError("the improved bound needs S2(0) = -1")
-    x = _bound_factor(S, s, kap, trace_norm, pauli=True)
+    x = sigma(S, s, kap) * trace_norm * math.sqrt(strip_sup_norm(S, kap))
     return log_sqrt_factorial_series(x)
-
-
-def _bound_factor(S, s, kap, trace_norm, pauli):
-    _require_bounded_family(S)
-    x = sigma(S, s, kap) * trace_norm
-    if pauli:
-        x *= math.sqrt(strip_sup_norm(S, kap))
-    return x
-
-
-def _gammaln(z):
-    """log Gamma(z) for an array of z > 0: ``math.lgamma`` below
-    ``STIRLING_MIN``, one vectorized Stirling pass from there on.
-
-    The pass sums 1 / (12 z) and the further terms of ``STIRLING`` that
-    exceed 1e-18 of log Gamma at the smallest z (the terms decrease in k
-    there), so a chunk of large arguments takes one division, not a
-    Horner pass.
-    """
-    shape = np.shape(z)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    zmin = float(z.min(initial=math.inf))
-    at = max(zmin, STIRLING_MIN)
-    floor = 1e-18 * at * (math.log(at) - 1)
-    count = sum(abs(c) * at ** (-2 * k - 1) > floor
-                for k, c in enumerate(STIRLING))
-    terms = STIRLING[:max(count, 1)]
-    out = np.log(z)
-    out *= z - 0.5
-    out -= z
-    out += 0.5 * math.log(2 * math.pi)
-    # Horner in 1 / z^2, then one factor 1 / z
-    series = terms[-1]
-    if len(terms) > 1:
-        inv2 = 1 / (z * z)
-        for c in terms[-2::-1]:
-            series = series * inv2 + c
-    out += series / z
-    if zmin < STIRLING_MIN:
-        small = np.flatnonzero(z < STIRLING_MIN)
-        out[small] = [math.lgamma(v) for v in z[small].tolist()]
-    return out.reshape(shape)
 
 
 def log_sqrt_factorial_series(x):
     """log of sum_{n>=0} x^n / sqrt(n!), in memory that does not grow with x.
 
     The terms t_n peak at n* = floor(x^2), and their logs have curvature
-    about -1/(2 n*), so only the window n* +- (12 sqrt(2) x + 50) is summed,
-    in chunks of ``SERIES_CHUNK`` terms scaled by the peak term.  The ratio
-    t_{n+1} / t_n = x / sqrt(n + 1) decreases in n, so the omitted tails
-    are bounded by geometric series: above the window by
-    t_hi r / (1 - r) with r = x / sqrt(hi + 1), below it by
-    t_lo q / (1 - q) with q = sqrt(lo) / x.  Raises ``ConvergenceError``
-    if that bound is not below ``SERIES_TAIL_TOL`` relative to the sum.
+    about -1/(2 n*), so only the window n* +- (12 sqrt(2) x + 50) is summed.
+    log t_n* comes from one ``math.lgamma``; the other terms are reached by
+    walking out from the peak on the term ratio t_k / t_{k-1} = x / sqrt(k),
+    each step adding +-(log x - log(k) / 2) to a running level, in chunks
+    of ``SERIES_CHUNK`` steps that carry the level across.  The ratio
+    decreases in n, so the tail beyond each edge of the window is bounded
+    by the geometric series t_edge q / (1 - q), with q = x / sqrt(hi + 1)
+    above it and q = sqrt(lo) / x below it.  Raises ``ConvergenceError`` if
+    that bound is not below ``SERIES_TAIL_TOL`` relative to the sum.
     """
     if x < 0:
         raise ValueError("series argument must be nonnegative")
     if x == 0.0:
         return 0.0
     log_x = math.log(x)
-
-    def log_terms(n):
-        return n * log_x - 0.5 * _gammaln(n + 1.0)
-
     peak = int(x * x)
     half = int(12 * math.sqrt(2) * x) + 50
     lo, hi = max(peak - half, 0), peak + half
-    m = float(log_terms(float(peak)))
-    acc = 0.0
-    for start in range(lo, hi + 1, SERIES_CHUNK):
-        n = np.arange(start, min(start + SERIES_CHUNK, hi + 1), dtype=float)
-        acc += float(np.sum(np.exp(log_terms(n) - m)))
-    total = m + math.log(acc)
-    r = x / math.sqrt(hi + 1)
-    tail = math.exp(float(log_terms(float(hi))) - total) * r / (1 - r)
-    if lo > 0:
-        q = math.sqrt(lo) / x
-        tail += math.exp(float(log_terms(float(lo))) - total) * q / (1 - q)
+    # acc sums t_n / t_peak; each walk ends at level log(t_edge / t_peak)
+    acc, tail = 1.0, 0.0
+    walks = ((1.0, range(peak + 1, hi + 1), x / math.sqrt(hi + 1)),
+             (-1.0, range(peak, lo, -1), math.sqrt(lo) / x))
+    for sign, steps, q in walks:
+        level = 0.0
+        for i in range(0, len(steps), SERIES_CHUNK):
+            k = steps[i:i + SERIES_CHUNK]
+            k = np.arange(k.start, k.stop, k.step, dtype=float)
+            levels = np.cumsum(sign * (log_x - 0.5 * np.log(k)))
+            levels += level
+            acc += float(np.sum(np.exp(levels)))
+            level = float(levels[-1])
+        tail += math.exp(level) * q / (1 - q)
+    tail /= acc
     if not tail < SERIES_TAIL_TOL:
         raise ConvergenceError(
             f"series tail bound {tail:.3g} exceeds {SERIES_TAIL_TOL:g}")
-    return total
+    return peak * log_x - 0.5 * math.lgamma(peak + 1) + math.log(acc)
 
 
 def _log(x):

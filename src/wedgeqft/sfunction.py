@@ -62,9 +62,6 @@ class ScatteringFunction:
                 raise ModelError(
                     f"zero {b} violates 0 < Im(beta) <= pi/2")
 
-    def __call__(self, zeta):
-        return evaluate(self, zeta)
-
 
 def _mirror_partner(b):
     return complex(-b.real, b.imag)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import mpmath
@@ -11,9 +12,8 @@ import wedgeqft as wq
 import wedgeqft.nuclearity as nuclearity
 from wedgeqft.config import load_config
 from wedgeqft.errors import ConvergenceError, ModelError, StripError
-from wedgeqft.nuclearity import (REFINE_TOL, STIRLING_MIN, KernelOperator,
-                                 _bessel_k0, _brentq, _gammaln,
-                                 _nystrom_matrix, _trace_lower_bound,
+from wedgeqft.nuclearity import (REFINE_TOL, KernelOperator, _bessel_k0,
+                                 _brentq, _nystrom_matrix, _trace_lower_bound,
                                  log_sqrt_factorial_series,
                                  log_xi_bound_minus, modular_trace_norm,
                                  s_min_bracket)
@@ -206,6 +206,33 @@ def test_series_matches_full_sum(x):
     # tolerance fixed at 1e-14 relative before the first run
     ref = log_sqrt_factorial_full_sum(x)
     assert abs(log_sqrt_factorial_series(x) - ref) <= 1e-14 * max(abs(ref), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.0, max_value=300.0, exclude_min=True))
+def test_series_carries_level_across_chunks(x):
+    # a small odd chunk makes both walks from the peak cross many chunk
+    # boundaries, each carrying the running level into the next chunk
+    ref = log_sqrt_factorial_full_sum(x)
+    with mock.patch.object(nuclearity, "SERIES_CHUNK", 7):
+        got = log_sqrt_factorial_series(x)
+    assert abs(got - ref) <= 1e-14 * max(abs(ref), 1.0)
+
+
+def test_series_against_mpmath():
+    # 30-digit reference: every term within +-(15 x + 60) of the peak from
+    # mpmath.loggamma, the omitted terms below e^-56 of the largest
+    for x in (0.3, 2.7, 9.9, 31.0, 150.0, 300.0):
+        with mpmath.workdps(30):
+            log_x = mpmath.log(x)
+            peak, half = int(x * x), int(15 * x) + 60
+            logs = [n * log_x - mpmath.loggamma(n + 1) / 2
+                    for n in range(max(peak - half, 0), peak + half + 1)]
+            top = max(logs)
+            want = top + mpmath.log(mpmath.fsum(mpmath.exp(v - top)
+                                                for v in logs))
+        got = log_sqrt_factorial_series(x)
+        assert abs(got - want) <= 1e-14 * abs(want), x
 
 
 def test_series_memory_does_not_grow_with_argument():
@@ -467,18 +494,3 @@ def test_s_min_searches_match_scipy_brentq(name, monkeypatch):
     monkeypatch.setattr(nuclearity, "_brentq", spy)
     wq.find_s_min(S, kap)
     assert len(calls) == 3
-
-
-def test_gammaln_against_mpmath():
-    # in one array the smallest z sets the Stirling terms for all; alone,
-    # each value sets its own
-    z = np.unique(np.concatenate([np.arange(1.0, 200.0),
-                                  np.round(np.logspace(0, 13, 300))]))
-    got = _gammaln(z)
-    for zi, gi in zip(z.tolist(), got.tolist()):
-        want = mpmath.loggamma(zi)
-        alone = float(_gammaln(zi))
-        assert abs(gi - want) <= 1e-15 * abs(want), zi
-        assert abs(alone - want) <= 1e-15 * abs(want), zi
-    small = z < STIRLING_MIN
-    assert got[small].tolist() == [math.lgamma(v) for v in z[small].tolist()]
