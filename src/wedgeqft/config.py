@@ -14,7 +14,7 @@ import importlib.resources
 from types import SimpleNamespace
 
 from .errors import ConfigError, ModelError
-from .fields import Bump2D
+from .fields import ORDER_CAP, Bump2D
 from .fock import N_HARD_CAP, RapidityGrid
 from .locality import ORDER_DEFAULT, WINDOW_DEFAULT
 from .nuclearity import NODES_DEFAULT
@@ -101,8 +101,9 @@ SCHEMA = {
     "locality": {
         "grid_count": (_integer(3, odd=True), 81),
         "window": (POSITIVE, WINDOW_DEFAULT),
-        # the refinement study runs at order // 8
-        "order": (_integer(8), ORDER_DEFAULT),
+        # the refinement study runs at order // 8; a Gauss-Legendre rule
+        # costs O(order^2), so the bump transforms' largest rule caps it
+        "order": (_integer(8, most=ORDER_CAP), ORDER_DEFAULT),
         "spectators": (COUNT, 3),
         "contour_tol": (NUMBER, 1e-6), "operator_tol": (NUMBER, 1e-4),
         # the names of the two wedge test-function blocks

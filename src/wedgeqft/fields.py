@@ -261,10 +261,17 @@ def mass_shell(f, sign, zeta, mass):
     return f.fourier(sign * p0, sign * p1)
 
 
-def sample_mass_shell(f, sign, grid, mass):
-    """Mass-shell restriction at the grid nodes, for the model's mass."""
-    vals = mass_shell(f, sign, grid.nodes.astype(complex), mass=mass)
-    return WaveFunction1(grid, vals)
+def sample_mass_shell(f, grid, mass):
+    """The pair (f^+, f^-) at the grid nodes, for the model's mass: every
+    field takes both, f^+ to create and f^- to annihilate."""
+    z = grid.nodes.astype(complex)
+    return tuple(WaveFunction1(grid, mass_shell(f, sign, z, mass=mass))
+                 for sign in (+1, -1))
+
+
+def _field(S, plus, minus, Phi):
+    """create(plus) + annihilate(minus) on Phi: every field here is one."""
+    return create(S, plus, Phi).add(annihilate(S, minus, Phi))
 
 
 def field_phi(S, f, Phi):
@@ -273,9 +280,7 @@ def field_phi(S, f, Phi):
     The result carries one more level than ``Phi``; nothing is truncated,
     so iterated commutators close exactly at grid level.
     """
-    fp = sample_mass_shell(f, +1, Phi.grid, mass=S.mass)
-    fm = sample_mass_shell(f, -1, Phi.grid, mass=S.mass)
-    return create(S, fp, Phi).add(annihilate(S, fm, Phi))
+    return _field(S, *sample_mass_shell(f, Phi.grid, S.mass), Phi)
 
 
 def field_phi_prime(S, f, Phi):
@@ -283,11 +288,9 @@ def field_phi_prime(S, f, Phi):
     return reflect_j(field_phi(S, f.star(), reflect_j(Phi)))
 
 
-def field_norm_scale(S, f, grid):
-    """||f^+|| + ||f^-|| on the grid: the natural operator-norm scale."""
-    fp = sample_mass_shell(f, +1, grid, mass=S.mass)
-    fm = sample_mass_shell(f, -1, grid, mass=S.mass)
-    return fp.norm() + fm.norm()
+def field_norm_scale(pair):
+    """||f^+|| + ||f^-|| of a sampled pair: the natural operator-norm scale."""
+    return pair[0].norm() + pair[1].norm()
 
 
 @dataclass(frozen=True)
@@ -338,30 +341,24 @@ class Bump1D:
             np.sum(_bump_profile(u) ** 2 * w))
 
 
-def timezero_samples(f1d, grid, mass):
-    """Mass-shell samples of a 1-D function: fhat(t) = ft(mass*sinh t)."""
-    vals = f1d.fourier(mass * np.sinh(grid.nodes.astype(complex)))
-    fhat = WaveFunction1(grid, vals)
-    fhat_minus = WaveFunction1(grid, vals[::-1])   # fhat(-t); grid symmetric
-    return fhat, fhat_minus
-
-
 def timezero_field(S, f1d, which, Phi):
     """Time-zero field (position type) or its conjugate momentum.
 
     varphi(f) = z^dag(fhat) + z(fhat_-);
-    pi(f)     = i (z^dag(omega fhat) - z(omega fhat_-)).
+    pi(f)     = i (z^dag(omega fhat) - z(omega fhat_-)), built as
+                z^dag(i omega fhat) + z(-i omega fhat_-) since z is linear;
+    fhat(t) = ft(mass sinh t), and fhat_-(t) = fhat(-t) is fhat reversed.
     """
     grid = Phi.grid
-    fhat, fhat_m = timezero_samples(f1d, grid, mass=S.mass)
-    if which == "varphi":
-        return create(S, fhat, Phi).add(annihilate(S, fhat_m, Phi))
+    fhat = f1d.fourier(S.mass * np.sinh(grid.nodes.astype(complex)))
+    plus, minus = fhat, fhat[::-1]
     if which == "pi":
         omega = S.mass * np.cosh(grid.nodes)
-        a = create(S, WaveFunction1(grid, omega * fhat.values), Phi)
-        b = annihilate(S, WaveFunction1(grid, omega * fhat_m.values), Phi)
-        return a.sub(b).scaled(1j)
-    raise ValueError(f"unknown time-zero field {which!r}")
+        plus, minus = 1j * omega * plus, -1j * omega * minus
+    elif which != "varphi":
+        raise ValueError(f"unknown time-zero field {which!r}")
+    return _field(S, WaveFunction1(grid, plus), WaveFunction1(grid, minus),
+                  Phi)
 
 
 def nonlocality_witness(S, f, g, grid):
@@ -371,13 +368,14 @@ def nonlocality_witness(S, f, g, grid):
     (f+(t1) g+(t2) - g+(t1) f+(t2)) (1 - S2(t2 - t1)) / sqrt(2) sampled on
     the grid.  Both vanish identically iff S2 = 1 or f = g.
     """
+    f_pair = sample_mass_shell(f, grid, S.mass)
+    g_pair = sample_mass_shell(g, grid, S.mass)
     omega = FockVector.vacuum(grid)
-    commutator = field_phi(S, f, field_phi(S, g, omega)).sub(
-        field_phi(S, g, field_phi(S, f, omega)))
+    commutator = _field(S, *f_pair, _field(S, *g_pair, omega)).sub(
+        _field(S, *g_pair, _field(S, *f_pair, omega)))
     op_tensor = symmetrize(S, commutator.component(2), grid)
 
-    fp = sample_mass_shell(f, +1, grid, mass=S.mass).values
-    gp = sample_mass_shell(g, +1, grid, mass=S.mass).values
+    fp, gp = f_pair[0].values, g_pair[0].values
     M = node_matrix(S, grid)
     closed = (np.multiply.outer(fp, gp) - np.multiply.outer(gp, fp)) \
         * (1.0 - M.T) / math.sqrt(2)

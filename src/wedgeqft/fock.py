@@ -427,10 +427,9 @@ def dn_law_residuals(S, grid, n, trials, rng):
         scale = max(wnorm(f), 1e-300)
         for k in range(n - 1):
             tau = _adjacent_swap(n, k)
-            ff = apply_dn(S, tau, apply_dn(S, tau, f, grid), grid)
-            record("involution", wnorm(ff - f) / scale)
-            record("unitary", abs(
-                wnorm(apply_dn(S, tau, f, grid)) - wnorm(f)) / scale)
+            tf = apply_dn(S, tau, f, grid)
+            record("involution", wnorm(apply_dn(S, tau, tf, grid) - f) / scale)
+            record("unitary", abs(wnorm(tf) - wnorm(f)) / scale)
         for j in range(n - 1):
             for k in range(j + 2, n - 1):
                 tj, tk = _adjacent_swap(n, j), _adjacent_swap(n, k)

@@ -171,7 +171,7 @@ def refinement_study(S, f, g, spectators, orders, window=WINDOW_DEFAULT):
 def _field_below_top(S, plus, minus, V):
     """Levels 0..V.n_max of create(plus) + annihilate(minus) on V.
 
-    Each level is computed as :func:`fields.field_phi` computes it; only
+    Each level is computed as :func:`fields._field` computes it; only
     the top level V.n_max + 1, which the creator alone reaches, is left out.
     """
     head = FockVector(V.grid, V.components[:-1])
@@ -230,19 +230,19 @@ def verify_operator_commutator(S, f, g, Phi, check_support=True):
     if check_support:
         _require_wedge_separation(f, g)
     grid = Phi.grid
-    gp, gm = (sample_mass_shell(g, s, grid, mass=S.mass) for s in (+1, -1))
-    fsp, fsm = (sample_mass_shell(f.star(), s, grid, mass=S.mass)
-                for s in (+1, -1))
+    g_pair = sample_mass_shell(g, grid, S.mass)
+    fs_pair = sample_mass_shell(f.star(), grid, S.mass)
     jx = reflect_j(field_phi(S, g, Phi))
     y = field_phi_prime(S, f, Phi)
-    lhs = reflect_j(_field_below_top(S, fsp, fsm, jx))
-    rhs = _field_below_top(S, gp, gm, y)
+    lhs = reflect_j(_field_below_top(S, *fs_pair, jx))
+    rhs = _field_below_top(S, *g_pair, y)
     norm_sq = lhs.sub(rhs).norm_sq()
     del lhs, rhs
-    norm_sq += _top_level_sq(S, grid, fsp, jx.components[-1], gp,
-                             y.components[-1])
+    norm_sq += _top_level_sq(S, grid, fs_pair[0], jx.components[-1],
+                             g_pair[0], y.components[-1])
     resid = math.sqrt(norm_sq) / max(Phi.norm(), 1e-300)
-    scale = (field_norm_scale(S, f, grid)
-             * field_norm_scale(S, g, grid))
+    # at real rapidity f*'s restrictions are the conjugates of f's, so
+    # their norms, and the scale, are f's
+    scale = field_norm_scale(fs_pair) * field_norm_scale(g_pair)
     resid /= max(scale, 1e-300)
     return float(resid)

@@ -37,7 +37,6 @@ values, so they are dropped before the SVD.
 """
 
 from dataclasses import dataclass
-from functools import cache
 import math
 
 import numpy as np
@@ -53,6 +52,7 @@ REFINE_TOL = 1e-3
 MAX_DOUBLINGS = 3
 SERIES_TAIL_TOL = 1e-12
 SERIES_CHUNK = 1 << 18
+MAX_SERIES_TERMS = 1 << 30      # ~70x the bounds sweep's largest window
 K0_NODES = 64
 EXP_UNDERFLOW = 745.0           # e^{-745} is the smallest subnormal double
 LOG_FLOOR = math.log(math.ulp(0.0))
@@ -231,12 +231,6 @@ def _trace_lower_bound(a, b):
     return 2 * _bessel_k0(a) / abs(b)
 
 
-def _require_bounded_family(S):
-    if S.a != 0.0:
-        raise StripError(
-            "nuclearity estimates need the bounded family (a = 0)")
-
-
 def sigma(S, s, kap):
     """Hardy constant controlling the wedge wavefunction bounds.
 
@@ -247,7 +241,8 @@ def sigma(S, s, kap):
     appears in the distal and Pauli-improved series.  ||S2||_kappa is
     always the memoized :func:`~wedgeqft.sfunction.strip_sup_norm`.
     """
-    _require_bounded_family(S)
+    if S.a != 0.0:
+        raise StripError("nuclearity estimates need the bounded family (a = 0)")
     kmax = kappa_of(S)
     if not (0.0 < kap < kmax):
         raise StripError(f"kappa must lie in (0, {kmax}), got {kap}")
@@ -302,15 +297,22 @@ def log_sqrt_factorial_series(x):
     decreases in n, so the tail beyond each edge of the window is bounded
     by the geometric series t_edge q / (1 - q), with q = x / sqrt(hi + 1)
     above it and q = sqrt(lo) / x below it.  Raises ``ConvergenceError`` if
-    that bound is not below ``SERIES_TAIL_TOL`` relative to the sum.
+    that bound is not below ``SERIES_TAIL_TOL`` relative to the sum, or,
+    before any summing, if the window may exceed ``MAX_SERIES_TERMS``.
     """
     if x < 0:
         raise ValueError("series argument must be nonnegative")
     if x == 0.0:
         return 0.0
+    # at most 2 half terms, checked before x * x can leave the int range
+    reach = 12 * math.sqrt(2) * x
+    if not 2 * reach + 100 <= MAX_SERIES_TERMS:
+        raise ConvergenceError(
+            f"series at x = {x:.3g} needs about {2 * reach:.3g} terms, "
+            f"above the budget of {MAX_SERIES_TERMS}")
     log_x = math.log(x)
     peak = int(x * x)
-    half = int(12 * math.sqrt(2) * x) + 50
+    half = int(reach) + 50
     lo, hi = max(peak - half, 0), peak + half
     # acc sums t_n / t_peak; each walk ends at level log(t_edge / t_peak)
     acc, tail = 1.0, 0.0
@@ -346,8 +348,9 @@ def _brentq(f, a, b, xtol):
     3-clause licence) with its operation order and its defaults rtol =
     4 eps and maxiter = 100, so it returns the same root bit for bit.
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 4.
-    f(a) and f(b) must differ in sign; :class:`ConvergenceError` is raised
-    otherwise, and when ``BRENT_MAXITER`` steps do not meet the tolerance.
+    f(a) and f(b) must differ in sign; :class:`ConvergenceError` names the
+    bracket otherwise, and is raised when ``BRENT_MAXITER`` steps do not
+    meet the tolerance.
     """
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
@@ -358,7 +361,8 @@ def _brentq(f, a, b, xtol):
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ConvergenceError(
-            f"f(a) = {fpre:.3g} and f(b) = {fcur:.3g} have the same sign")
+            f"no sign change in bracket ({a}, {b}): f(lo) = {fpre:.3g}, "
+            f"f(hi) = {fcur:.3g}")
     for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
@@ -433,26 +437,19 @@ def find_s_min(S, kap, bracket=None, tol=1e-4, nodes=NODES_DEFAULT):
     objective evaluations where bisection would take fifteen) on
     log(sigma ||T_s||_1), which is nearly linear in s, with the unrefined
     ``nodes``-point trace norms; a product that underflows to 0.0 counts
-    as ``LOG_FLOOR``.  :class:`ConvergenceError` is raised when the
-    objective does not change sign over the bracket.  :func:`sigma`
-    supplies ||S2||_kappa, computed once per model and kappa.
+    as ``LOG_FLOOR``.  :func:`_brentq` raises :class:`ConvergenceError`
+    when the objective does not change sign over the bracket.
+    :func:`sigma` raises :class:`StripError` outside the bounded family,
+    and supplies ||S2||_kappa, computed once per model and kappa.
     """
-    _require_bounded_family(S)
     if bracket is None:
         bracket = s_min_bracket(S, kap)
 
-    @cache          # _brentq evaluates the two bracket ends again
     def objective(s):
         return _log(sigma(S, s, kap)
                     * modular_trace_norm(S, s, kap, nodes=nodes).value)
 
-    lo, hi = bracket
-    f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo < 0 or f_hi > 0:
-        raise ConvergenceError(
-            f"no sign change in bracket {bracket}: log objective "
-            f"f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}")
-    return _brentq(objective, lo, hi, xtol=tol)
+    return _brentq(objective, *bracket, xtol=tol)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import wedgeqft as wq
-from wedgeqft.fields import field_norm_scale, field_phi, field_phi_prime
+from wedgeqft.fields import (field_norm_scale, field_phi, field_phi_prime,
+                             sample_mass_shell)
 from wedgeqft.fock import FockVector, _on_axes
 from wedgeqft.nuclearity import _nystrom_matrix
 
@@ -50,8 +51,8 @@ def operator_commutator_dense(S, f, g, Phi):
     lhs = field_phi_prime(S, f, field_phi(S, g, Phi))
     rhs = field_phi(S, g, field_phi_prime(S, f, Phi))
     resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
-    scale = (field_norm_scale(S, f, Phi.grid)
-             * field_norm_scale(S, g, Phi.grid))
+    scale = (field_norm_scale(sample_mass_shell(f, Phi.grid, S.mass))
+             * field_norm_scale(sample_mass_shell(g, Phi.grid, S.mass)))
     return float(resid / max(scale, 1e-300))
 
 

@@ -11,6 +11,7 @@ import wedgeqft as wq
 from wedgeqft.cli import main
 from wedgeqft.config import load_config
 from wedgeqft.errors import ConfigError, ConvergenceError
+from wedgeqft.fields import ORDER_CAP
 from wedgeqft.suites import suites_for_all
 
 MINIMAL = """
@@ -502,6 +503,35 @@ def test_cli_nonconvergence_exit3(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err == {"kind": "nonconvergence", "message": "budget exhausted"}
     assert not (tmp_path / "raised").exists()
+
+
+def test_cli_partition_series_budget_exit3(tmp_path, capsys):
+    # at beta = 1e-100 the Pauli series argument is about 3e53; its window
+    # would hold about 1e55 terms, far above the series budget
+    code = main(["partition", "--config", "catalogue:ising", "--beta",
+                 "1e-100", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "nonconvergence"
+    assert "budget" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_locality_order_capped_at_the_largest_rule(tmp_path, capsys):
+    # a Gauss-Legendre rule costs O(order^2): the bump transforms' largest
+    # rule bounds the key, so a mistyped order does not run for hours
+    cfg = load_config("catalogue:free",
+                      overrides=[f"locality.order={ORDER_CAP}"])
+    assert cfg.locality.order == ORDER_CAP
+    item = f"locality.order={ORDER_CAP + 1}"
+    code = main(["verify-locality", "--config", "catalogue:free",
+                 "--out", str(tmp_path / "out"), "--tol-override", item])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["message"].startswith(
+        f"catalogue:free: --tol-override {item}: locality.order must be "
+        f"an integer in 8..{ORDER_CAP}"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scattering_verdict_covers_the_origin(monkeypatch):

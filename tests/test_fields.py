@@ -12,7 +12,7 @@ from wedgeqft.config import load_config
 from wedgeqft.errors import ConvergenceError, QuadratureOverflowError
 from wedgeqft.fields import (ORDER_CAP, _auto_order, _bump_profile,
                              _bump_transform, field_norm_scale,
-                             sample_mass_shell, timezero_samples)
+                             sample_mass_shell)
 from wedgeqft.fock import FockVector
 from wedgeqft.quadrature import gauss_legendre
 
@@ -200,7 +200,7 @@ def test_quadrature_overflow_guard(bump):
 def test_field_phi_on_vacuum(shg, gaussian, grid41):
     om = FockVector.vacuum(grid41)
     out = wq.field_phi(shg, gaussian, om)
-    fp = sample_mass_shell(gaussian, +1, grid41, mass=shg.mass)
+    fp, _ = sample_mass_shell(gaussian, grid41, shg.mass)
     assert_allclose(out.component(1), fp.values, atol=0)
     assert abs(out.component(0)) == 0
 
@@ -208,8 +208,8 @@ def test_field_phi_on_vacuum(shg, gaussian, grid41):
 def test_field_bound(shg, gaussian, grid21, rng):
     Phi = wq.random_fock(shg, grid21, 2, rng)
     out = wq.field_phi(shg, gaussian, Phi)
-    assert out.norm() <= (field_norm_scale(shg, gaussian, grid21)
-                          * Phi.number_half_power(1.0).norm() + 1e-12)
+    scale = field_norm_scale(sample_mass_shell(gaussian, grid21, shg.mass))
+    assert out.norm() <= scale * Phi.number_half_power(1.0).norm() + 1e-12
 
 
 def test_field_adjoint(shg, gaussian, grid21, rng):
@@ -236,7 +236,7 @@ def test_prime_field_on_vacuum_and_coincidence(catalogue, gaussian, grid21, rng)
     free = catalogue["free"]
     shg = catalogue["shg"]
     om = FockVector.vacuum(grid21)
-    fp = sample_mass_shell(gaussian, +1, grid21, mass=shg.mass)
+    fp, _ = sample_mass_shell(gaussian, grid21, shg.mass)
     assert_allclose(wq.field_phi_prime(shg, gaussian, om).component(1),
                     fp.values, atol=1e-14)
     Phi = wq.random_fock(free, grid21, 2, rng)
@@ -291,9 +291,17 @@ def test_energy_weighted_norm_identity(f1):
 
 
 def test_timezero_minus_sampling(shg, grid21):
+    # varphi(f) creates fhat from the vacuum; on a two-particle vector
+    # holding the identity its annihilator leaves sqrt(2) w fhat_-, and
+    # fhat_-(t) = fhat(-t) is fhat reversed on the symmetric grid
     f1 = wq.Gaussian1D(0.4, 0.7, q=0.3)
-    fhat, fhat_m = timezero_samples(f1, grid21, mass=shg.mass)
-    assert_allclose(fhat_m.values, fhat.values[::-1], atol=0)
+    N, w = grid21.count, grid21.weights
+    fhat = wq.timezero_field(shg, f1, "varphi",
+                             FockVector.vacuum(grid21)).component(1)
+    two = FockVector(grid21, [0.0, np.zeros(N), np.eye(N)])
+    fhat_m = wq.timezero_field(shg, f1, "varphi", two).component(1)
+    assert_allclose(fhat_m / (math.sqrt(2) * w), fhat[::-1], rtol=1e-14)
+    assert np.max(np.abs(fhat - fhat[::-1])) > 1e-2   # fhat is not even
 
 
 def test_nonlocality_witness(catalogue, grid41):

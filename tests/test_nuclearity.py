@@ -1,3 +1,4 @@
+from functools import cache
 import math
 import tracemalloc
 from unittest import mock
@@ -249,6 +250,23 @@ def test_series_memory_does_not_grow_with_argument():
     assert n_peak * math.log(x) - 0.5 * math.lgamma(n_peak + 1) <= lv <= x * x
 
 
+class _Summing(Exception):
+    pass
+
+
+def test_series_budget_is_checked_before_summing():
+    # x = 1e9 needs a window of about 3.4e10 terms, above MAX_SERIES_TERMS,
+    # and raises before any chunk is summed; at the largest x the budget
+    # allows, summing starts
+    x_max = ((nuclearity.MAX_SERIES_TERMS - 100) / (24 * math.sqrt(2))
+             * (1 - 1e-9))
+    with mock.patch.object(nuclearity.np, "cumsum", side_effect=_Summing):
+        with pytest.raises(ConvergenceError, match="budget"):
+            log_sqrt_factorial_series(1e9)
+        with pytest.raises(_Summing):
+            log_sqrt_factorial_series(x_max)
+
+
 def test_series_log_large_argument():
     x = 150.0
     lv = log_sqrt_factorial_series(x)
@@ -470,22 +488,30 @@ def test_brentq_port_matches_scipy_bit_for_bit(lo, width, where, k, shape,
 
 
 def test_brentq_port_sign_error_and_root_at_an_end():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"bracket \(0.0, 1.0\)"):
         _brentq(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-12)
     assert _brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+
+
+def test_brentq_iteration_budget_raises(monkeypatch):
+    # a cubic whose root needs several steps, allowed one
+    monkeypatch.setattr(nuclearity, "BRENT_MAXITER", 1)
+    with pytest.raises(ConvergenceError, match="more than 1 steps"):
+        _brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["free", "ising", "shg-b050",
                                   "resonance-pi4"])
 def test_s_min_searches_match_scipy_brentq(name, monkeypatch):
     # every root search of s_min_bracket and find_s_min, replayed through
-    # scipy's brentq on the same objective; find_s_min's objective is
-    # cached, so the replay costs no SVD
+    # scipy's brentq on the same objective; the spy caches the objective,
+    # so the replay, which visits the same points, costs no SVD
     cfg = load_config(f"catalogue:{name}")
     S, kap = cfg.model, cfg.nuclearity.kappa
     port, calls = _brentq, []
 
     def spy(f, a, b, xtol):
+        f = cache(f)
         root = port(f, a, b, xtol)
         calls.append(root)
         assert root.hex() == scipy.optimize.brentq(f, a, b, xtol=xtol).hex()

@@ -267,6 +267,21 @@ def test_strip_sup_norm_budget_raises(monkeypatch, tmp_path, capsys):
     assert err["kind"] == "nonconvergence"
 
 
+def test_strip_sup_norm_cell_too_narrow_raises(monkeypatch):
+    # cells containing t = 0 are never bounded, so they halve down to the
+    # float spacing around 0, about 2k halvings, far below MAX_HALVINGS
+    S = load_config("catalogue:shg-b050").model
+    real = sfunction._cell_bounds
+
+    def unbounded_at_zero(sb, kap, lo, hi, g_lo, g_hi):
+        bounds = real(sb, kap, lo, hi, g_lo, g_hi)
+        return np.where((lo <= 0) & (0 <= hi), np.inf, bounds)
+
+    monkeypatch.setattr(sfunction, "_cell_bounds", unbounded_at_zero)
+    with pytest.raises(ConvergenceError, match="narrower than the float"):
+        sfunction.strip_sup_norm.__wrapped__(S, wq.kappa(S) / 2)
+
+
 def test_strip_sup_norm_near_the_pole():
     # kappa a millionth below kappa(S): the peak at t = 0 is ~1.6e12 high
     # and ~1e-6 wide; the bisection resolves it or raises within its budget.
