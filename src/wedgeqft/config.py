@@ -17,7 +17,7 @@ from .errors import ConfigError, ModelError
 from .fields import ORDER_CAP, Bump2D
 from .fock import N_HARD_CAP, RapidityGrid
 from .locality import ORDER_DEFAULT, WINDOW_DEFAULT
-from .nuclearity import NODES_DEFAULT
+from .nuclearity import MAX_NODES, NODES_DEFAULT
 from .sfunction import ScatteringFunction, build_model, kappa
 
 DEFAULT_SEED = 0xD15EA5E
@@ -129,7 +129,8 @@ SCHEMA = {
         "kappa": (NUMBER, None),
         "s_min": (POSITIVE, 0.5), "s_max": (POSITIVE, 5.0),
         "steps": (COUNT, 5),
-        "nodes": (COUNT, NODES_DEFAULT),
+        # one Nystrom SVD at the budget fills most of a 768 MiB cap
+        "nodes": (_integer(1, most=MAX_NODES), NODES_DEFAULT),
     },
     "partition": {
         "r": (POSITIVE, 1.0),

@@ -173,12 +173,12 @@ def _weighted_inner(grid, a, b):
     return complex(t)
 
 
-def _check_tensor_budget(count, n, whole=True):
-    """The rank cap, and the dense budget for a tensor that is built whole."""
+def _check_tensor_budget(count, n):
+    """The rank cap, and the dense budget for a rank-n tensor."""
     if n > N_HARD_CAP:
         raise TruncationCapError(
             f"rank {n} exceeds the hard particle-number cap {N_HARD_CAP}")
-    if whole and count ** n > MAX_TENSOR_ELEMENTS:
+    if count ** n > MAX_TENSOR_ELEMENTS:
         raise TruncationCapError(
             f"rank-{n} tensor on {count} nodes exceeds the dense budget")
 
@@ -244,39 +244,6 @@ def _move_on(M, acc, term, start, stop):
         term = np.swapaxes(term, k, k + 1)
         term *= _on_axes(M.T, n, k, k + 1)
         acc += term
-
-
-def _insert_slice(M, psi, low, index, axis):
-    """Slice ``index`` of axis 0 (``axis=0``) or of the last axis
-    (``axis=-1``) of I_0(psi x low), the tensor that :func:`create` builds
-    whole as ``_insert(M, low[None] * psi)``.
-
-    Every entry is the same chain of products as there, so the slice is
-    equal bit for bit.  On axis 0 the k = 0 and k = 1 terms are computed
-    directly and the swap chain carries the rest; on the last axis the
-    chain runs on the sliced operand and the final term, whose swap
-    reaches the sliced axis, is computed directly.
-    """
-    n = low.ndim + 1
-    lead = psi.reshape((-1,) + (1,) * (n - 1))
-    if axis == 0 or n == 1:
-        out = low[None] * lead[index]
-        if n > 1:
-            term = np.swapaxes(low[index][None] * lead, 0, 1)
-            term *= _on_axes(M.T[index], n, 0, 1)
-            out += term
-            _move_on(M, out, term, 1, n - 1)
-        return out
-    out = low[..., index][None] * lead
-    if n > 2:
-        term = np.swapaxes(out, 0, 1) * _on_axes(M.T, n, 0, 1)
-        out += term
-        _move_on(M, out, term, 1, n - 2)
-    last = low[..., None] * psi[index]
-    for j in range(n - 1):
-        last *= _on_axes(M.T[:, index], n, j, n - 1)
-    out += last
-    return out
 
 
 def symmetrize(S, psi_n, grid):

@@ -7,8 +7,10 @@ two integrands are boundary values of one function analytic in the
 physical strip, so the integrals cancel; the checks below evaluate both
 integrals, their sum, and the strip-shift mechanism behind the
 cancellation, then repeat the statement at operator level on truncated
-vectors.  The operator check runs level by level; its top level, where only
-the creators act, is built in blocks of columns and never as a whole tensor.
+vectors.  The operator check leaves out the top level, where only the
+creators act: [z'^dag(f+), z^dag(g+)] vanishes for any f and g, because
+P_{n+1}(P_n x 1) = P_{n+1} = P_{n+1}(1 x P_n).  verify-algebra checks that
+identity on every run (its ``creators_commute`` row).
 
 The mass-shell restrictions f^{+-}, g^{+-} on a quadrature line do not
 depend on S2 or on the spectators, so one contour check computes each of
@@ -25,10 +27,9 @@ import numpy as np
 from .errors import TailError, WedgeQFTError
 from .fields import (field_norm_scale, field_phi, field_phi_prime, in_wedge,
                      mass_shell, sample_mass_shell)
-from .fock import (FockVector, _check_tensor_budget, _insert_slice, annihilate,
-                   create, reflect_j)
+from .fock import FockVector, annihilate, create, reflect_j
 from .quadrature import gauss_legendre
-from .sfunction import evaluate, node_matrix
+from .sfunction import evaluate
 
 WINDOW_DEFAULT = 8.0
 ORDER_DEFAULT = 2048
@@ -37,9 +38,6 @@ TAIL_TOL = 1e-10
 # the tail estimate integrates |integrand| over |t| >= (1 - _TAIL_BAND) times
 # the window; the end nodes alone carry tiny Gauss-Legendre weights
 _TAIL_BAND = 0.05
-# entries of one streamed block of the operator check's top level; each
-# block is a few such arrays, so small blocks keep the check's peak small
-BLOCK_ELEMENTS = 2 ** 18
 
 
 def _gl_line(window, order):
@@ -178,42 +176,6 @@ def _field_below_top(S, plus, minus, V):
     return create(S, plus, head).add(annihilate(S, minus, V))
 
 
-def _top_level_sq(S, grid, fs_plus, jx_top, g_plus, y_top):
-    """||lhs_n - rhs_n||_w^2 at the top level n = y_top.ndim + 1, streamed.
-
-    Only the creators reach level n: lhs_n = J n^{-1/2} I_0(f*+ x (JX)_{n-1})
-    and rhs_n = n^{-1/2} I_0(g+ x Y_{n-1}).  The level is built in blocks of
-    columns of its last axis, each of at most ``BLOCK_ELEMENTS`` entries
-    (one column at the least).  The columns of J T are T's rows on axis 0,
-    conjugated with their axes reversed.  Each block is contracted with the
-    weights from axis 0 on, as ``FockVector.norm`` contracts a whole level,
-    and the column sums are contracted last.
-    """
-    n = y_top.ndim + 1
-    _check_tensor_budget(grid.count, n, whole=False)
-    M = node_matrix(S, grid)
-    w = grid.weights
-    root = math.sqrt(n)
-    width = max(1, BLOCK_ELEMENTS // grid.count ** (n - 1))
-    column_sums = np.empty(grid.count, dtype=complex)
-    for start in range(0, grid.count, width):
-        cols = slice(start, start + width)
-        lhs = _insert_slice(M, fs_plus.values, jx_top, cols, 0)
-        lhs /= root
-        d = np.conj(lhs.T, order="C")
-        del lhs
-        rhs = _insert_slice(M, g_plus.values, y_top, cols, -1)
-        rhs /= root
-        d -= rhs
-        del rhs
-        t = np.conj(d)
-        t *= d
-        for _ in range(n - 1):
-            t = np.tensordot(t, w, axes=([0], [0]))
-        column_sums[cols] = t
-    return float(np.real(np.tensordot(column_sums, w, axes=([0], [0]))))
-
-
 def verify_operator_commutator(S, f, g, Phi, check_support=True):
     """|| [phi'(f), phi(g)] Phi || / ||Phi|| per unit field scale.
 
@@ -221,11 +183,11 @@ def verify_operator_commutator(S, f, g, Phi, check_support=True):
     ||f+|| + ||f-|| and ||g+|| + ||g-||, so a fixed tolerance is
     meaningful regardless of test-function amplitudes.
 
-    The check runs level by level.  X = phi(g) Phi and Y = phi'(f) Phi are
-    built whole, and so is every level of phi'(f) X and phi(g) Y up to
-    Phi.n_max + 1, each with the arithmetic of the field functions.  The
-    top level Phi.n_max + 2, whose rank-(n_max + 2) tensor is never built,
-    is streamed in blocks (see :func:`_top_level_sq`).
+    X = phi(g) Phi and Y = phi'(f) Phi are built whole, and so is every
+    level of phi'(f) X and phi(g) Y up to Phi.n_max + 1, each with the
+    arithmetic of the field functions.  The top level Phi.n_max + 2 is
+    [z'^dag(f+), z^dag(g+)] Phi_{n_max}, which vanishes identically (see
+    the module docstring), so it is left out.
     """
     if check_support:
         _require_wedge_separation(f, g)
@@ -236,11 +198,7 @@ def verify_operator_commutator(S, f, g, Phi, check_support=True):
     y = field_phi_prime(S, f, Phi)
     lhs = reflect_j(_field_below_top(S, *fs_pair, jx))
     rhs = _field_below_top(S, *g_pair, y)
-    norm_sq = lhs.sub(rhs).norm_sq()
-    del lhs, rhs
-    norm_sq += _top_level_sq(S, grid, fs_pair[0], jx.components[-1],
-                             g_pair[0], y.components[-1])
-    resid = math.sqrt(norm_sq) / max(Phi.norm(), 1e-300)
+    resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
     # at real rapidity f*'s restrictions are the conjugates of f's, so
     # their norms, and the scale, are f's
     scale = field_norm_scale(fs_pair) * field_norm_scale(g_pair)

@@ -50,6 +50,10 @@ SCALE_DEFAULT = 1.0
 NODES_DEFAULT = 400
 REFINE_TOL = 1e-3
 MAX_DOUBLINGS = 3
+# largest Nystrom level: the default after every doubling.  One SVD there
+# peaks near 430 MB RSS (bose kernels; 310 MB for the others), inside a
+# 768 MiB address-space cap
+MAX_NODES = NODES_DEFAULT * 2 ** MAX_DOUBLINGS
 SERIES_TAIL_TOL = 1e-12
 SERIES_CHUNK = 1 << 18
 MAX_SERIES_TERMS = 1 << 30      # ~70x the bounds sweep's largest window
@@ -137,8 +141,13 @@ def singular_values(K):
     not identically zero (see the module docstring).  The zero singular
     values of the dropped rows are left out, so the array is shorter than
     ``K.nodes`` when the damping underflows, and empty when it underflows
-    on every row.
+    on every row.  A level above ``MAX_NODES`` raises
+    :class:`ConvergenceError` before anything is built.
     """
+    if K.nodes > MAX_NODES:
+        raise ConvergenceError(
+            f"Nystrom level of {K.nodes} nodes exceeds the budget of "
+            f"{MAX_NODES} nodes")
     A = _nystrom_matrix(K)
     keep = np.any(A != 0, axis=1)
     return np.linalg.svd(A.real[keep] - A.imag[keep][:, ::-1],
@@ -169,7 +178,8 @@ def trace_norm_estimate(K, refine=True):
     times, until consecutive levels agree to ``REFINE_TOL``; the reported
     relative change then compares the last two levels.  Non-convergence
     within the budget is flagged, not raised, and the last value is still
-    returned.  Without ``refine``, ``rel_change`` is NaN.
+    returned; a doubling above ``MAX_NODES`` raises (see
+    :func:`singular_values`).  Without ``refine``, ``rel_change`` is NaN.
     """
     value = float(np.sum(singular_values(K)))
     if not refine:

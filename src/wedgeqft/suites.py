@@ -72,6 +72,7 @@ def verify_algebra(cfg, rng):
 
     zf_worst = 0.0
     adj_worst = 0.0
+    comm_worst = 0.0
     bound_ok = True
     for _ in range(trials):
         Phi = fock.random_fock(S, grid, cfg.n_max, rng)
@@ -88,8 +89,18 @@ def verify_algebra(cfg, rng):
         adj_worst = max(adj_worst, abs(lhs - rhs) / scale)
         bound_ok &= (fock.annihilate(S, psi, Phi).norm()
                      <= psi.norm() * Phi.number_half_power().norm() + tol)
+        # [J z^dag(psi) J, z^dag(phi)] = 0, the creator-only part of the
+        # wedge commutator, up to rank dn_max
+        head = fock.FockVector(grid, Phi.components[:cfg.algebra.dn_max - 1])
+        lhs = fock.reflect_j(fock.create(
+            S, psi, fock.reflect_j(fock.create(S, phi, head))))
+        rhs = fock.create(S, phi, fock.reflect_j(
+            fock.create(S, psi, fock.reflect_j(head))))
+        comm_worst = max(comm_worst,
+                         lhs.sub(rhs).norm() / max(lhs.norm(), 1e-300))
     worst["zf_relations"] = zf_worst
     worst["adjointness"] = adj_worst
+    worst["creators_commute"] = comm_worst
 
     Phi = fock.random_fock(S, grid, cfg.n_max, rng, margin=3)
     lam = 2 * grid.spacing

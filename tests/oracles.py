@@ -19,7 +19,7 @@ from scipy.special import gammaln
 import wedgeqft as wq
 from wedgeqft.fields import (field_norm_scale, field_phi, field_phi_prime,
                              sample_mass_shell)
-from wedgeqft.fock import FockVector, _on_axes
+from wedgeqft.fock import FockVector, _on_axes, _weighted_inner
 from wedgeqft.nuclearity import _nystrom_matrix
 
 
@@ -44,16 +44,34 @@ def create_via_projection(S, psi, Phi):
     return FockVector(grid, comps)
 
 
+def _both_orders(S, f, g, Phi):
+    """phi'(f) phi(g) Phi and phi(g) phi'(f) Phi, every level a dense tensor."""
+    return (field_phi_prime(S, f, field_phi(S, g, Phi)),
+            field_phi(S, g, field_phi_prime(S, f, Phi)))
+
+
 def operator_commutator_dense(S, f, g, Phi):
     """The operator-level locality residual from both field applications
     built whole: every level of phi'(f) phi(g) Phi and phi(g) phi'(f) Phi,
     the top one included, is a dense tensor."""
-    lhs = field_phi_prime(S, f, field_phi(S, g, Phi))
-    rhs = field_phi(S, g, field_phi_prime(S, f, Phi))
+    lhs, rhs = _both_orders(S, f, g, Phi)
     resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
     scale = (field_norm_scale(sample_mass_shell(f, Phi.grid, S.mass))
              * field_norm_scale(sample_mass_shell(g, Phi.grid, S.mass)))
     return float(resid / max(scale, 1e-300))
+
+
+def creator_top_level_dense(S, f, g, Phi):
+    """Weighted norms of the top level Phi.n_max + 2 of
+    phi'(f) phi(g) Phi - phi(g) phi'(f) Phi and of phi'(f) phi(g) Phi.
+
+    Only the creators reach that level, so it is
+    [z'^dag(f+), z^dag(g+)] Phi_{n_max}, built whole from both orders.
+    """
+    lhs, rhs = (v.components[-1] for v in _both_orders(S, f, g, Phi))
+    diff = lhs - rhs
+    return (math.sqrt(abs(_weighted_inner(Phi.grid, diff, diff))),
+            math.sqrt(abs(_weighted_inner(Phi.grid, lhs, lhs))))
 
 
 def state_via_projection(S, packet, reverse=False):

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wedgeqft as wq
@@ -12,6 +13,7 @@ from wedgeqft.cli import main
 from wedgeqft.config import load_config
 from wedgeqft.errors import ConfigError, ConvergenceError
 from wedgeqft.fields import ORDER_CAP
+from wedgeqft.nuclearity import MAX_NODES
 from wedgeqft.suites import suites_for_all
 
 MINIMAL = """
@@ -534,6 +536,51 @@ def test_locality_order_capped_at_the_largest_rule(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_nystrom_nodes_capped_at_the_budget(tmp_path, capsys):
+    # a 20000-node Nystrom matrix alone is 6 GiB: the key is bounded by
+    # the budget, so the request exits 2 and names the override, where it
+    # used to exit 1 with an untyped allocation error
+    cfg = load_config("catalogue:shg-b050",
+                      overrides=[f"nuclearity.nodes={MAX_NODES}"])
+    assert cfg.nuclearity.nodes == MAX_NODES
+    item = "nuclearity.nodes=20000"
+    code = main(["nuclearity-curve", "--config", "catalogue:shg-b050",
+                 "--out", str(tmp_path / "out"), "--tol-override", item])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["message"].startswith(
+        f"catalogue:shg-b050: --tol-override {item}: nuclearity.nodes must "
+        f"be an integer in 1..{MAX_NODES}"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nystrom_doubling_over_the_budget_exit3(tmp_path, capsys,
+                                                monkeypatch):
+    # with the budget at the default level and a refinement that never
+    # agrees, the first doubling is over the budget: it raises before its
+    # matrix is built, and the CLI exits 3
+    from wedgeqft import nuclearity
+    built = []
+    build = nuclearity._nystrom_matrix
+
+    def counting(K):
+        built.append(K.nodes)
+        return build(K)
+
+    monkeypatch.setattr(nuclearity, "_nystrom_matrix", counting)
+    monkeypatch.setattr(nuclearity, "MAX_NODES", nuclearity.NODES_DEFAULT)
+    monkeypatch.setattr(nuclearity, "REFINE_TOL", 0.0)
+    code = main(["nuclearity-curve", "--config", "catalogue:shg-b050",
+                 "--steps", "1", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "nonconvergence"
+    assert err["message"] == ("Nystrom level of 800 nodes exceeds the "
+                              "budget of 400 nodes")
+    assert built and max(built) == nuclearity.NODES_DEFAULT
+    assert not (tmp_path / "out").exists()
+
+
 def test_scattering_verdict_covers_the_origin(monkeypatch):
     # S2(0) off +-1 by 1e-9 with exact relations: the suite must fail, and
     # its summary must carry the same verdict
@@ -549,6 +596,31 @@ def test_scattering_verdict_covers_the_origin(monkeypatch):
                                         "modulus")) <= 1e-12
     assert res.passed is False
     assert res.summary["passed"] is False
+
+
+def test_creators_commute_row_catches_an_untwisted_creator(monkeypatch):
+    # the row is the run-time check of the creator-only level that the
+    # operator-level locality check leaves out; a creator whose moves past
+    # slot 1 lose their S2 factor must push it over tol and fail the suite
+    from wedgeqft import fock, suites
+    cfg = load_config("catalogue:shg-b050")
+
+    def residuals():
+        res = suites.verify_algebra(cfg, np.random.default_rng(1))
+        return res, {r["check"]: r["residual"] for r in res.rows}
+
+    res, rows = residuals()
+    assert res.passed and rows["creators_commute"] <= cfg.algebra.tol
+
+    def untwisted(M, acc, term, start, stop):
+        for k in range(start, stop):
+            term = np.swapaxes(term, k, k + 1)
+            acc += term
+
+    monkeypatch.setattr(fock, "_move_on", untwisted)
+    res, rows = residuals()
+    assert rows["creators_commute"] > cfg.algebra.tol
+    assert res.passed is False
 
 
 def test_cli_suite_failure_exit1(tmp_path, capsys, monkeypatch):

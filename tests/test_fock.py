@@ -10,9 +10,8 @@ import wedgeqft as wq
 from oracles import create_via_projection, symmetrize_by_permutations
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
-from wedgeqft.fock import (FockVector, dn_law_residuals, _insert,
-                           _insert_slice, _weighted_inner)
-from wedgeqft.sfunction import evaluate, node_matrix
+from wedgeqft.fock import FockVector, dn_law_residuals, _weighted_inner
+from wedgeqft.sfunction import evaluate
 
 HALF_PI = math.pi / 2
 
@@ -192,19 +191,6 @@ def test_create_matches_projection(catalogue, grid7, rng):
         a = wq.create(S, psi, Phi)
         b = create_via_projection(S, psi, Phi)
         assert a.sub(b).norm() < 1e-12
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_insert_slice_is_a_slice_of_insert(shg, grid7, rng, n):
-    M = node_matrix(shg, grid7)
-    psi = rand_tensor(grid7, 1, rng)
-    low = rand_tensor(grid7, n - 1, rng)
-    whole = _insert(M, low[None] * psi.reshape((-1,) + (1,) * (n - 1)))
-    for index in (slice(0, 1), slice(2, 5), slice(0, 7)):
-        assert np.array_equal(_insert_slice(M, psi, low, index, 0),
-                              whole[index])
-        assert np.array_equal(_insert_slice(M, psi, low, index, -1),
-                              whole[..., index])
 
 
 def test_create_annihilate_vacuum(shg, grid21, rng):

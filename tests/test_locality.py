@@ -1,15 +1,19 @@
 
+import math
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 import wedgeqft as wq
-from oracles import operator_commutator_dense
+from oracles import creator_top_level_dense, operator_commutator_dense
 from wedgeqft import fock, locality, suites
 from wedgeqft.config import load_config
 from wedgeqft.errors import TailError, TruncationCapError, WedgeQFTError
 from wedgeqft.locality import RESIDUAL_FLOOR
+
+HALF_PI = math.pi / 2
 
 
 @pytest.fixture(scope="module")
@@ -225,9 +229,11 @@ def test_operator_commutator_wrong_wedges_generic_model(shg, wedge_pair, rng):
 @pytest.mark.parametrize("count, n_max", [(41, 1), (41, 2), (81, 1)])
 def test_operator_commutator_matches_dense_reference(catalogue, wedge_pair,
                                                      rng, count, n_max):
-    # n_max = 2 streams a rank-4 top level, and its lower levels have both
-    # creator and annihilator parts; the dense rank-4 reference does not
-    # fit the budget at 81 nodes.  The swapped pair is the negative control
+    # the dense reference builds the creator-only top level that the check
+    # leaves out, so agreement at 1e-12 also bounds that level.  At
+    # n_max = 2 the lower levels have both creator and annihilator parts;
+    # the dense rank-4 reference does not fit the budget at 81 nodes.  The
+    # swapped pair is the negative control
     f, g = wedge_pair
     grid = wq.RapidityGrid(6.0, count)
     for S in catalogue.values():
@@ -239,17 +245,32 @@ def test_operator_commutator_matches_dense_reference(catalogue, wedge_pair,
             assert abs(got - want) <= 1e-12 * want
 
 
-def test_operator_commutator_blocks_of_unequal_size(catalogue, wedge_pair,
-                                                    rng, monkeypatch):
-    # four columns of 41^2 entries per block: ten blocks of four and one of one
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_creator_only_top_level_vanishes(catalogue, wedge_pair, rng, n_max):
+    # the level Phi.n_max + 2 that the check leaves out, built whole: only
+    # the creators reach it, and [z'^dag(f+), z^dag(g+)] = 0 for any f, g
     f, g = wedge_pair
     grid = wq.RapidityGrid(6.0, 41)
-    monkeypatch.setattr(locality, "BLOCK_ELEMENTS", 4 * 41 ** 2)
     for S in catalogue.values():
-        Phi = wq.random_fock(S, grid, 1, rng)
-        want = operator_commutator_dense(S, f, g, Phi)
-        assert abs(wq.verify_operator_commutator(S, f, g, Phi) - want) \
-            <= 1e-12 * want
+        Phi = wq.random_fock(S, grid, n_max, rng)
+        for a, b in ((f, g), (g, f)):
+            top, side = creator_top_level_dense(S, a, b, Phi)
+            assert top <= 1e-14 * side
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((+1, -1)),
+       st.lists(st.tuples(st.floats(-3, 3), st.floats(0.05, HALF_PI)),
+                min_size=1, max_size=2),
+       st.integers(1, 2), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_creator_only_top_level_vanishes_on_bounded_models(
+        wedge_pair, eps, zeros, n_max, swap, seed):
+    S = wq.build_model(eps, zeros=[complex(re, im) for re, im in zeros])
+    f, g = wedge_pair[::-1] if swap else wedge_pair
+    Phi = wq.random_fock(S, wq.RapidityGrid(6.0, 21), n_max,
+                         np.random.default_rng(seed))
+    top, side = creator_top_level_dense(S, f, g, Phi)
+    assert top <= 1e-14 * side
 
 
 def test_operator_commutator_memory_is_streamed(shg, wedge_pair, rng):
