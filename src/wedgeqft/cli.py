@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_SEED, load_config
 from .errors import ConfigError, ConvergenceError, WedgeQFTError
+from .nuclearity import REFINE_TOL
 from .sfunction import SUP_RTOL
 from .suites import SUITES, suites_for_all
 
@@ -186,7 +187,12 @@ def _nuclearity_report(cfg, results):
     out = {"model": cfg.model_name, "kappa": nan, "sup_norm": nan,
            "s_min": nan, "rows": [],
            "notes": ["sigma(s, kappa) absorbs the half/half distance splitting",
-                     "trace norms from tan-compactified Nystrom discretization",
+                     "tan-compactified Nystrom trace norms are converged "
+                     "estimates, not certified bounds: curve rows report the "
+                     f"first refinement level within {REFINE_TOL:g} of the one "
+                     "below, s_min and partition use unrefined ones; "
+                     "bound_distal, log_bound_minus, s_min and partition "
+                     "bounds inherit this",
                      "free-Bose determinant uses unprojected singular values "
                      "(conservative surrogate)",
                      "sup_norm is a certified upper bound on ||S2||_kappa, "

@@ -4,29 +4,29 @@ The quantitative side of the construction reduces to singular values of a
 few explicit integral operators on the line, every one built from the one
 damped Cauchy kernel
 
-    K(x, y) = e^{-a cosh x} / (c (x - y + i b)).
+    K(x, y) = e^{-a cosh x} / (x - y + i b).
 
-The general operator has c = 1.  The modular operator T_s has a = m s / 2,
-b = kappa / 2 and c = -i pi, so ||T_s||_1 = ||T_general(m s / 2, kappa / 2)||_1
-/ pi (Buchholz & Lechner, Ann. Henri Poincare 5 (2004) 1065; Lechner,
-Commun. Math. Phys. 277 (2008) 821).  The free-Bose position and momentum
-kernels combine it at a = m s, b = +-pi / 2 with its reflection in y.  Singular
-values are computed by a weight-symmetrized Nystrom discretization after
-the substitution y = scale * tan(v), which maps the whole line onto a
-finite interval; the substitution is unitary, so the discrete singular
-values converge to those of the full-line operator without any window
-truncation.  On top of the trace norms sit the Hardy constant, the
-geometric and Pauli-improved bound series, the minimal splitting distance
-(searched inside a closed-form bracket set by |tr T_s| below and the
-analytic trace bound above), the free/fermionic special cases and the
-heuristic partition-function bound.
+The modular operator T_s is this kernel at a = m s / 2, b = kappa / 2 over
+-i pi, so ||T_s||_1 is computed as the general kernel's trace norm there,
+divided by pi (Buchholz & Lechner, Ann. Henri Poincare 5 (2004) 1065;
+Lechner, Commun. Math. Phys. 277 (2008) 821).  The free-Bose position and
+momentum kernels combine it at a = m s, b = +-pi / 2 with its reflection
+in y.  Singular values are computed by a weight-symmetrized Nystrom
+discretization after the substitution y = scale * tan(v), which maps the
+whole line onto a finite interval; the substitution is unitary, so the
+discrete singular values converge to those of the full-line operator
+without any window truncation.  On top of the trace norms sit the Hardy
+constant, the geometric and Pauli-improved bound series, the minimal
+splitting distance (searched inside a closed-form bracket set by |tr T_s|
+below and the analytic trace bound above), the free/fermionic special
+cases and the heuristic partition-function bound.
 
 The SVD runs on a smaller real matrix with the same singular values.  The
 tan-mapped rule is mirror-symmetric bit for bit (y reversed is -y, w
 reversed is w), and every kernel here has K(-x, -y) = +-conj K(x, y), so
 with J the reversal permutation the weighted matrix A = X + iY satisfies
-J A J = +-conj(A): it is centrohermitian (modular, bose_phi, bose_pi) or
-skew-centrohermitian (general).  The unitary U = (I + iJ)/sqrt(2) makes
+J A J = +-conj(A): it is skew-centrohermitian (general) or
+centrohermitian (bose_phi, bose_pi).  The unitary U = (I + iJ)/sqrt(2) makes
 a centrohermitian matrix real (Lee, Linear Algebra Appl. 29 (1980) 205):
 U^H A U = X - YJ.  In the skew case iA = -Y + iX is centrohermitian, so
 U^H (iA) U = -(X + YJ) J, and X + YJ = -J (X - YJ) J.  Either way X - YJ
@@ -36,7 +36,7 @@ and of X - YJ, are identically zero and contribute only zero singular
 values, so they are dropped before the SVD.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -75,12 +75,11 @@ def _tan_rule(scale, nodes):
     return y, w * jac
 
 
-def _damped_cauchy(a, b, c=1.0):
-    """The kernel e^{-a cosh x} / (c (x - y + i b)), in one full-size array."""
+def _damped_cauchy(a, b):
+    """The kernel e^{-a cosh x} / (x - y + i b), in one full-size array."""
     def kern(x, y):
         with np.errstate(over="ignore", under="ignore"):
             d = x - y + 1j * b
-            d *= c
             return np.divide(np.exp(-a * np.cosh(x)), d, out=d)
     return kern
 
@@ -90,10 +89,10 @@ class KernelOperator:
     """One of the explicit integral operators, plus its discretization knobs.
 
     Every kind is the damped Cauchy kernel of :func:`_damped_cauchy`:
-    ``general`` (params a, b) is it as it stands; ``modular`` (s, kappa,
-    mass) is it at a = m s / 2, b = kappa / 2 over -i pi, so its trace norm
-    is that of ``general`` divided by pi; ``bose_phi`` and ``bose_pi``
-    (s, mass) combine it at a = m s, b = +-pi / 2 with its reflection in y.
+    ``general`` (params a, b) is it as it stands, and is the modular
+    operator times -i pi at a = m s / 2, b = kappa / 2 (see
+    :func:`modular_trace_norm`); ``bose_phi`` and ``bose_pi`` (s, mass)
+    combine it at a = m s, b = +-pi / 2 with its reflection in y.
     """
 
     kind: str
@@ -109,17 +108,12 @@ class KernelOperator:
             if b == 0:
                 raise ModelError("offset b must be nonzero")
             return _damped_cauchy(a, b)
-        if self.kind == "modular":
-            s, kap, mass = self.params
-            if not (s > 0 and mass > 0):
-                raise ModelError("modular kernel needs s > 0 and mass > 0")
-            return _damped_cauchy(mass * s / 2, kap / 2, -1j * math.pi)
         if self.kind in ("bose_phi", "bose_pi"):
             s, mass = self.params
             sign = -1 if self.kind == "bose_phi" else +1
             reflected = _damped_cauchy(s * mass, math.pi / 2)
-            direct = _damped_cauchy(s * mass, -math.pi / 2, c=-1)
-            return lambda x, y: ((sign * reflected(x, -y) - direct(x, y))
+            direct = _damped_cauchy(s * mass, -math.pi / 2)
+            return lambda x, y: ((sign * reflected(x, -y) + direct(x, y))
                                  / (2j * math.pi))
         raise ModelError(f"unknown kernel kind {self.kind!r}")
 
@@ -168,36 +162,32 @@ def _rel_change(new, old):
 
 
 def trace_norm_estimate(K, refine=True):
-    """Sum of singular values, checked against a coarser companion level.
+    """Sum of singular values, checked level by level on one ladder.
 
-    With ``refine`` the requested level is compared with a companion of
-    round(nodes / sqrt(2)) nodes at scale / sqrt(2), whose SVD costs about
-    a third of the requested one.  If the two agree to ``REFINE_TOL`` the
-    requested level is reported, with that agreement as ``rel_change``.
-    Otherwise both scale and nodes are doubled, up to ``MAX_DOUBLINGS``
-    times, until consecutive levels agree to ``REFINE_TOL``; the reported
-    relative change then compares the last two levels.  Non-convergence
-    within the budget is flagged, not raised, and the last value is still
-    returned; a doubling above ``MAX_NODES`` raises (see
+    With ``refine`` the ladder starts at a companion of round(nodes /
+    sqrt(2)) nodes at scale / sqrt(2), whose SVD costs about a third of the
+    requested one, then the requested level, then up to ``MAX_DOUBLINGS``
+    levels that each double scale and nodes.  Each level after the
+    companion is compared with the one before it, and the first that
+    agrees with it to ``REFINE_TOL`` is reported, with that agreement as
+    ``rel_change``; at default settings that is the requested level.
+    Non-convergence within the budget is flagged, not raised, and the last
+    level is still returned; a doubling above ``MAX_NODES`` raises (see
     :func:`singular_values`).  Without ``refine``, ``rel_change`` is NaN.
     """
     value = float(np.sum(singular_values(K)))
     if not refine:
         return TraceNormResult(value, K.scale, K.nodes, math.nan, True)
-    companion = KernelOperator(K.kind, K.params, K.scale / math.sqrt(2),
-                               round(K.nodes / math.sqrt(2)))
-    rel = _rel_change(value, float(np.sum(singular_values(companion))))
-    if rel < REFINE_TOL:
-        return TraceNormResult(value, K.scale, K.nodes, rel, True)
-    scale, nodes = K.scale, K.nodes
-    for _ in range(MAX_DOUBLINGS):
-        finer = KernelOperator(K.kind, K.params, scale * 2, nodes * 2)
-        new = float(np.sum(singular_values(finer)))
-        rel = _rel_change(new, value)
-        value, scale, nodes = new, finer.scale, finer.nodes
+    below = float(np.sum(singular_values(replace(
+        K, scale=K.scale / math.sqrt(2), nodes=round(K.nodes / math.sqrt(2))))))
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if doubling:
+            K = replace(K, scale=K.scale * 2, nodes=K.nodes * 2)
+            value, below = float(np.sum(singular_values(K))), value
+        rel = _rel_change(value, below)
         if rel < REFINE_TOL:
-            return TraceNormResult(value, scale, nodes, rel, True)
-    return TraceNormResult(value, scale, nodes, rel, False)
+            break
+    return TraceNormResult(value, K.scale, K.nodes, rel, rel < REFINE_TOL)
 
 
 def analytic_trace_bound(a, b):
@@ -265,9 +255,11 @@ def sigma(S, s, kap):
 
 
 def modular_trace_norm(S, s, kap, nodes=NODES_DEFAULT, refine=False):
-    """Trace norm of the modular kernel at (s, kappa) for the model mass."""
-    K = KernelOperator("modular", (float(s), float(kap), S.mass), nodes=nodes)
-    return trace_norm_estimate(K, refine=refine)
+    """||T_s||_1 at (s, kappa) for the model mass: the trace norm of the
+    general kernel at (m s / 2, kappa / 2), divided by pi."""
+    K = KernelOperator("general", (S.mass * s / 2, kap / 2), nodes=nodes)
+    r = trace_norm_estimate(K, refine=refine)
+    return replace(r, value=r.value / math.pi)
 
 
 def xi_bound_distal(S, s, kap, trace_norm):

@@ -129,8 +129,9 @@ def verify_locality(cfg, rng):
     loc = cfg.locality
     f = cfg.testfunction(loc.f)
     g = cfg.testfunction(loc.g)
-    spect = [tuple(rng.uniform(-2.0, 2.0, n))
-             for n in range(4) for _ in range(loc.spectators)]
+    # n = 0 has one spectator tuple, the empty one
+    spect = [()] + [tuple(rng.uniform(-2.0, 2.0, n))
+                    for n in range(1, 4) for _ in range(loc.spectators)]
     rep = locality.verify_contour_identity(S, f, g, spect, window=loc.window,
                                            order=loc.order)
     rows = [dict(row, thetas=" ".join(f"{t:.6f}" for t in row["thetas"]))

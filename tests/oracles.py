@@ -131,6 +131,14 @@ def singular_values_dense(K):
     return np.linalg.svd(_nystrom_matrix(K), compute_uv=False)
 
 
+def modular_trace_norm_dense(S, s, kap, nodes):
+    """||T_s||_1 from the full complex Nystrom matrix of the modular kernel
+    e^{-(m s / 2) cosh x} / (-i pi (x - y + i kappa / 2))."""
+    K = wq.KernelOperator("general", (S.mass * s / 2, kap / 2), nodes=nodes)
+    A = _nystrom_matrix(K) / (-1j * math.pi)
+    return float(np.sum(np.linalg.svd(A, compute_uv=False)))
+
+
 def log_sqrt_factorial_full_sum(x):
     """log sum_n x^n / sqrt(n!) over every n up to x^2 + 20 x + 50, at once.
 

@@ -188,6 +188,16 @@ def test_line_restrictions_computed_once(monkeypatch, rng):
         assert calls == [(loc.order, 2.0)] * 6
 
 
+def test_verify_locality_draws_each_spectator_tuple_once(rng):
+    # every n = 0 tuple is the empty one, so the suite draws it once
+    cfg = load_config("catalogue:free",
+                      overrides=["locality.order=256", "locality.grid_count=11"])
+    rows = suites.verify_locality(cfg, rng).rows
+    assert [row["n"] for row in rows].count(0) == 1
+    thetas = [row["thetas"] for row in rows]
+    assert len(set(thetas)) == len(thetas) == 1 + 3 * cfg.locality.spectators
+
+
 def test_operator_commutator_and_halving(shg, wedge_pair, rng):
     f, g = wedge_pair
     grid = wq.RapidityGrid(6.0, 81)

@@ -11,6 +11,7 @@ import scipy.optimize
 
 import wedgeqft as wq
 import wedgeqft.nuclearity as nuclearity
+from wedgeqft import suites
 from wedgeqft.config import load_config
 from wedgeqft.errors import ConvergenceError, ModelError, StripError
 from wedgeqft.nuclearity import (REFINE_TOL, KernelOperator, _bessel_k0,
@@ -19,7 +20,8 @@ from wedgeqft.nuclearity import (REFINE_TOL, KernelOperator, _bessel_k0,
                                  log_xi_bound_minus, modular_trace_norm,
                                  s_min_bracket)
 
-from oracles import log_sqrt_factorial_full_sum, singular_values_dense
+from oracles import (log_sqrt_factorial_full_sum, modular_trace_norm_dense,
+                     singular_values_dense)
 
 
 def unrefined_trace_norm(S, s, kap):
@@ -31,8 +33,9 @@ def unrefined_trace_norm(S, s, kap):
 MIRROR_CASES = [
     (KernelOperator("general", (1.0, 0.6)), -1),
     (KernelOperator("general", (0.3, -math.pi / 8)), -1),
-    (KernelOperator("modular", (0.7, math.pi / 8, 1.0)), +1),
-    (KernelOperator("modular", (2.0, math.pi / 4, 2.0)), +1),
+    # the modular operators at (s, kappa, mass) = (0.7, pi/8, 1), (2, pi/4, 2)
+    (KernelOperator("general", (0.35, math.pi / 16)), -1),
+    (KernelOperator("general", (2.0, math.pi / 8)), -1),
     (KernelOperator("bose_phi", (0.5, 1.0)), +1),
     (KernelOperator("bose_pi", (1.5, 1.0)), +1),
 ]
@@ -74,15 +77,18 @@ def test_trace_norm_below_bound_and_converged():
     assert 0.4 < r.rel_change < 0.5 and math.isfinite(r.value)
 
 
-def test_refine_at_default_settings_reports_the_requested_level():
+def test_refine_at_default_settings_reports_the_requested_level(resonance):
     # the coarser companion confirms the requested level, which is reported
     # unchanged
-    for K in (KernelOperator("general", (1.0, 0.6)),
-              KernelOperator("modular", (0.5, math.pi / 8, 1.0)),
-              KernelOperator("modular", (5.0, math.pi / 4, 1.0))):
-        r = wq.trace_norm_estimate(K, refine=True)
+    K = KernelOperator("general", (1.0, 0.6))
+    results = [(wq.trace_norm_estimate(K, refine=True),
+                wq.trace_norm_estimate(K, refine=False))]
+    for s, kap in ((0.5, math.pi / 8), (5.0, math.pi / 4)):
+        results.append((modular_trace_norm(resonance, s, kap, refine=True),
+                         modular_trace_norm(resonance, s, kap)))
+    for r, unrefined in results:
         assert (r.nodes, r.scale) == (K.nodes, K.scale)
-        assert r.value == wq.trace_norm_estimate(K, refine=False).value
+        assert r.value == unrefined.value
         assert r.converged and r.rel_change < REFINE_TOL
 
 
@@ -116,6 +122,15 @@ def test_nystrom_trace_norm_inside_closed_form_bounds(a, b, negative):
     value = wq.trace_norm_estimate(KernelOperator("general", (a, b)),
                                    refine=False).value
     assert _trace_lower_bound(a, b) <= value <= wq.analytic_trace_bound(a, b)
+
+
+def test_curve_suite_reports_doubled_levels(rng):
+    # no default setting doubles; from 25 nodes the shg-b050 curve climbs
+    # two rungs at its first two points and one at its last
+    cfg = load_config("catalogue:shg-b050", overrides=["nuclearity.nodes=25"])
+    rows = suites.nuclearity_curve(cfg, rng).rows
+    assert [(r["trace_nodes"], r["trace_scale"], r["trace_converged"])
+            for r in rows] == [(100, 4, True), (100, 4, True), (50, 2, True)]
 
 
 @pytest.mark.parametrize("name", ["free", "ising", "shg-b050",
@@ -153,11 +168,14 @@ def test_modular_kernel_decreasing_and_mapped_bound(resonance):
     for s, v in zip((0.5, 1.0, 2.0), vals):
         mapped = wq.analytic_trace_bound(resonance.mass * s / 2, kap / 2) / math.pi
         assert v <= mapped
-        # the modular operator is the general one over -i pi
-        general = wq.trace_norm_estimate(
-            KernelOperator("general", (resonance.mass * s / 2, kap / 2)),
-            refine=False).value
-        assert abs(v - general / math.pi) <= 1e-14 * v
+    # the modular operator is the general kernel over -i pi: the reference
+    # divides the matrix by -i pi before its complex SVD, the library sums
+    # the row-trimmed real spectrum and divides by pi
+    for nodes in (100, 400, 800):
+        for s in (0.5, 1.0, 2.0):
+            v = modular_trace_norm(resonance, s, kap, nodes=nodes).value
+            ref = modular_trace_norm_dense(resonance, s, kap, nodes)
+            assert abs(v - ref) <= 1e-13 * ref
 
 
 def test_sigma_formula_second_path(ising):

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 import wedgeqft as wq
 from oracles import overlap_literal, smatrix_tensor, state_via_projection
-from wedgeqft.errors import OrderingError
+from wedgeqft import scattering
+from wedgeqft.errors import OrderingError, TruncationCapError
 from wedgeqft.fock import WaveFunction1
 from wedgeqft.scattering import overlap_oracle
 
@@ -43,6 +44,20 @@ def test_out_state_agrees_with_projection(catalogue, rng):
             c = wq.in_state(S, packet)
             d = state_via_projection(S, packet, reverse=True)
             assert c.sub(d).norm() < 1e-12
+
+
+def test_particle_cap_fires_before_any_tensor(shg, rng, monkeypatch):
+    # seven waves above N_HARD_CAP = 6: on 29 nodes the chain would build a
+    # rank-5 tensor of about 330 MB before create's own rank check
+    packet = wq.random_ordered_packet(wq.RapidityGrid(6.0, 29), 7, rng)
+
+    def refuse(*args):
+        raise AssertionError("create called before the particle cap")
+
+    monkeypatch.setattr(scattering, "create", refuse)
+    for state in (wq.out_state, wq.in_state):
+        with pytest.raises(TruncationCapError):
+            state(shg, packet)
 
 
 def test_single_particle_in_equals_out(shg, grid21, rng):
