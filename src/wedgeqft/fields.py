@@ -11,7 +11,8 @@ genuine support restriction, used wherever wedge membership matters).
 Fourier convention: ft(p) = (1/2pi) \\int f(x) e^{i p.x} d^2x with the
 Minkowski pairing p.x = p0 x0 - p1 x1.  The mass-shell restrictions are
 f^{+-}(z) = ft(+-p(z)) with p(z) = mass * (cosh z, sinh z); for compactly
-supported f these are entire in z.
+supported f these are entire in z.  A field takes f's pair (f^+, f^-) on
+its vector's grid; phi'(f) conjugates that pair rather than sample f*.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, QuadratureOverflowError
-from .fock import FockVector, WaveFunction1, annihilate, create, reflect_j, symmetrize
+from .fock import FockVector, WaveFunction1, annihilate, create, reflect_j
 from .quadrature import gauss_legendre
 from .sfunction import node_matrix
 
@@ -269,23 +270,23 @@ def sample_mass_shell(f, grid, mass):
                  for sign in (+1, -1))
 
 
-def _field(S, plus, minus, Phi):
-    """create(plus) + annihilate(minus) on Phi: every field here is one."""
-    return create(S, plus, Phi).add(annihilate(S, minus, Phi))
+def _star_pair(pair):
+    """f*'s pair from f's: (f*)^{+-} = conj f^{+-} at real rapidity."""
+    return tuple(WaveFunction1(psi.grid, np.conj(psi.values)) for psi in pair)
 
 
-def field_phi(S, f, Phi):
-    """Left-wedge field: creator of f^+ plus annihilator of f^-.
+def field_phi(S, pair, Phi):
+    """Left-wedge field: create f^+, annihilate f^- of a sampled pair.
 
     The result carries one more level than ``Phi``; nothing is truncated,
     so iterated commutators close exactly at grid level.
     """
-    return _field(S, *sample_mass_shell(f, Phi.grid, S.mass), Phi)
+    return create(S, pair[0], Phi).add(annihilate(S, pair[1], Phi))
 
 
-def field_phi_prime(S, f, Phi):
-    """Right-wedge partner field, conjugated by the TCP reflection."""
-    return reflect_j(field_phi(S, f.star(), reflect_j(Phi)))
+def field_phi_prime(S, pair, Phi):
+    """Right-wedge partner J phi(f*) J of f's own sampled pair."""
+    return reflect_j(field_phi(S, _star_pair(pair), reflect_j(Phi)))
 
 
 def field_norm_scale(pair):
@@ -357,26 +358,25 @@ def timezero_field(S, f1d, which, Phi):
         plus, minus = 1j * omega * plus, -1j * omega * minus
     elif which != "varphi":
         raise ValueError(f"unknown time-zero field {which!r}")
-    return _field(S, WaveFunction1(grid, plus), WaveFunction1(grid, minus),
-                  Phi)
+    return field_phi(S, (WaveFunction1(grid, plus), WaveFunction1(grid, minus)),
+                     Phi)
 
 
 def nonlocality_witness(S, f, g, grid):
     """Two-particle part of [phi(f), phi(g)] Omega, twice over.
 
-    Returns (operator tensor, closed-form tensor); the closed form is
+    Returns (field kernel's level-2 tensor, closed form); the closed form is
     (f+(t1) g+(t2) - g+(t1) f+(t2)) (1 - S2(t2 - t1)) / sqrt(2) sampled on
     the grid.  Both vanish identically iff S2 = 1 or f = g.
     """
     f_pair = sample_mass_shell(f, grid, S.mass)
     g_pair = sample_mass_shell(g, grid, S.mass)
     omega = FockVector.vacuum(grid)
-    commutator = _field(S, *f_pair, _field(S, *g_pair, omega)).sub(
-        _field(S, *g_pair, _field(S, *f_pair, omega)))
-    op_tensor = symmetrize(S, commutator.component(2), grid)
+    commutator = field_phi(S, f_pair, field_phi(S, g_pair, omega)).sub(
+        field_phi(S, g_pair, field_phi(S, f_pair, omega)))
 
     fp, gp = f_pair[0].values, g_pair[0].values
     M = node_matrix(S, grid)
     closed = (np.multiply.outer(fp, gp) - np.multiply.outer(gp, fp)) \
         * (1.0 - M.T) / math.sqrt(2)
-    return op_tensor, closed
+    return commutator.component(2), closed

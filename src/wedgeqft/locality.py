@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from .errors import TailError, WedgeQFTError
-from .fields import (field_norm_scale, field_phi, field_phi_prime, in_wedge,
-                     mass_shell, sample_mass_shell)
+from .fields import (_star_pair, field_norm_scale, field_phi, field_phi_prime,
+                     in_wedge, mass_shell, sample_mass_shell)
 from .fock import FockVector, annihilate, create, reflect_j
 from .quadrature import gauss_legendre
 from .sfunction import evaluate
@@ -169,7 +169,7 @@ def refinement_study(S, f, g, spectators, orders, window=WINDOW_DEFAULT):
 def _field_below_top(S, plus, minus, V):
     """Levels 0..V.n_max of create(plus) + annihilate(minus) on V.
 
-    Each level is computed as :func:`fields._field` computes it; only
+    Each level is computed as :func:`fields.field_phi` computes it; only
     the top level V.n_max + 1, which the creator alone reaches, is left out.
     """
     head = FockVector(V.grid, V.components[:-1])
@@ -183,24 +183,21 @@ def verify_operator_commutator(S, f, g, Phi, check_support=True):
     ||f+|| + ||f-|| and ||g+|| + ||g-||, so a fixed tolerance is
     meaningful regardless of test-function amplitudes.
 
-    X = phi(g) Phi and Y = phi'(f) Phi are built whole, and so is every
-    level of phi'(f) X and phi(g) Y up to Phi.n_max + 1, each with the
-    arithmetic of the field functions.  The top level Phi.n_max + 2 is
-    [z'^dag(f+), z^dag(g+)] Phi_{n_max}, which vanishes identically (see
-    the module docstring), so it is left out.
+    f and g are each sampled once.  From their pairs X = phi(g) Phi and
+    Y = phi'(f) Phi are built whole, and so is every level of phi'(f) X and
+    phi(g) Y up to Phi.n_max + 1, with the field functions' arithmetic.
+    The top level Phi.n_max + 2 is [z'^dag(f+), z^dag(g+)] Phi_{n_max},
+    which vanishes identically (see the module docstring), so it is left out.
     """
     if check_support:
         _require_wedge_separation(f, g)
-    grid = Phi.grid
-    g_pair = sample_mass_shell(g, grid, S.mass)
-    fs_pair = sample_mass_shell(f.star(), grid, S.mass)
-    jx = reflect_j(field_phi(S, g, Phi))
-    y = field_phi_prime(S, f, Phi)
-    lhs = reflect_j(_field_below_top(S, *fs_pair, jx))
+    f_pair = sample_mass_shell(f, Phi.grid, S.mass)
+    g_pair = sample_mass_shell(g, Phi.grid, S.mass)
+    jx = reflect_j(field_phi(S, g_pair, Phi))
+    y = field_phi_prime(S, f_pair, Phi)
+    lhs = reflect_j(_field_below_top(S, *_star_pair(f_pair), jx))
     rhs = _field_below_top(S, *g_pair, y)
     resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
-    # at real rapidity f*'s restrictions are the conjugates of f's, so
-    # their norms, and the scale, are f's
-    scale = field_norm_scale(fs_pair) * field_norm_scale(g_pair)
+    scale = field_norm_scale(f_pair) * field_norm_scale(g_pair)
     resid /= max(scale, 1e-300)
     return float(resid)

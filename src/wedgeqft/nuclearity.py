@@ -257,7 +257,10 @@ def sigma(S, s, kap):
 def modular_trace_norm(S, s, kap, nodes=NODES_DEFAULT, refine=False):
     """||T_s||_1 at (s, kappa) for the model mass: the trace norm of the
     general kernel at (m s / 2, kappa / 2), divided by pi."""
-    K = KernelOperator("general", (S.mass * s / 2, kap / 2), nodes=nodes)
+    a = S.mass * s / 2
+    if s > 0 and not a > 0:
+        raise ConvergenceError(f"damping m s / 2 underflows at s = {s}")
+    K = KernelOperator("general", (a, kap / 2), nodes=nodes)
     r = trace_norm_estimate(K, refine=refine)
     return replace(r, value=r.value / math.pi)
 
@@ -518,7 +521,8 @@ def partition_bound(S, beta, r, kap, improved=False, nodes=NODES_DEFAULT):
     mu = math.atan2(beta, 2 * r) / (2 * math.pi)
     s_eff = r * math.sin(2 * math.pi * mu)
     if not (s_eff > 0):
-        raise ValueError("effective damping is nonpositive")
+        raise ConvergenceError("effective distance r sin(2 pi mu) "
+                               f"underflows at beta = {beta}, r = {r}")
     trace_norm = modular_trace_norm(S, s_eff, kap, nodes=nodes).value
     log_series = log_xi_bound_minus(S, s_eff, kap, trace_norm=trace_norm)
     prefactor = 1.0 if improved else 2.0

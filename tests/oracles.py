@@ -17,9 +17,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import wedgeqft as wq
-from wedgeqft.fields import (field_norm_scale, field_phi, field_phi_prime,
-                             sample_mass_shell)
-from wedgeqft.fock import FockVector, _on_axes, _weighted_inner
+from wedgeqft.fields import field_norm_scale, field_phi, sample_mass_shell
+from wedgeqft.fock import FockVector, _on_axes, _weighted_inner, reflect_j
 from wedgeqft.nuclearity import _nystrom_matrix
 
 
@@ -45,9 +44,19 @@ def create_via_projection(S, psi, Phi):
 
 
 def _both_orders(S, f, g, Phi):
-    """phi'(f) phi(g) Phi and phi(g) phi'(f) Phi, every level a dense tensor."""
-    return (field_phi_prime(S, f, field_phi(S, g, Phi)),
-            field_phi(S, g, field_phi_prime(S, f, Phi)))
+    """phi'(f) phi(g) Phi and phi(g) phi'(f) Phi, every level a dense tensor.
+
+    phi'(f) is J phi(f*) J with f* sampled through its own transform, so
+    the comparison checks the library's conjugated pair against f.star().
+    """
+    star = sample_mass_shell(f.star(), Phi.grid, S.mass)
+    g_pair = sample_mass_shell(g, Phi.grid, S.mass)
+
+    def prime(V):
+        return reflect_j(field_phi(S, star, reflect_j(V)))
+
+    return (prime(field_phi(S, g_pair, Phi)),
+            field_phi(S, g_pair, prime(Phi)))
 
 
 def operator_commutator_dense(S, f, g, Phi):

@@ -519,6 +519,23 @@ def test_cli_partition_series_budget_exit3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["partition", "--config", "catalogue:ising", "--beta", "5e-324"],
+    ["partition", "--config", "catalogue:ising", "--r", "5e-324"],
+    ["nuclearity-curve", "--config", "catalogue:shg-b050",
+     "--s-min", "5e-324", "--s-max", "1"]])
+def test_cli_underflowing_distance_exit3(tmp_path, capsys, args):
+    # a positive distance whose damping r sin(2 pi mu) or m s / 2 rounds
+    # to zero leaves double range: non-convergence, not a traceback or a
+    # suite error
+    code = main(args + ["--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "nonconvergence"
+    assert "underflows" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_locality_order_capped_at_the_largest_rule(tmp_path, capsys):
     # a Gauss-Legendre rule costs O(order^2): the bump transforms' largest
     # rule bounds the key, so a mistyped order does not run for hours

@@ -8,16 +8,25 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import wedgeqft as wq
+from wedgeqft import fields
 from wedgeqft.config import load_config
-from wedgeqft.errors import ConvergenceError, QuadratureOverflowError
+from wedgeqft.errors import ConvergenceError, GridError, QuadratureOverflowError
 from wedgeqft.fields import (ORDER_CAP, _auto_order, _bump_profile,
                              _bump_transform, field_norm_scale,
                              sample_mass_shell)
-from wedgeqft.fock import FockVector
+from wedgeqft.fock import FockVector, annihilate
 from wedgeqft.quadrature import gauss_legendre
 
 BUMP_INTEGRAL = 0.44399381616807943782   # \int_{-1}^{1} g, from mpmath
 BUMP_TARGET = 1e-13                      # stated accuracy, in units of \int g
+
+
+def _phi(S, f, Phi):
+    return wq.field_phi(S, sample_mass_shell(f, Phi.grid, S.mass), Phi)
+
+
+def _phi_prime(S, f, Phi):
+    return wq.field_phi_prime(S, sample_mass_shell(f, Phi.grid, S.mass), Phi)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +208,7 @@ def test_quadrature_overflow_guard(bump):
 
 def test_field_phi_on_vacuum(shg, gaussian, grid41):
     om = FockVector.vacuum(grid41)
-    out = wq.field_phi(shg, gaussian, om)
+    out = _phi(shg, gaussian, om)
     fp, _ = sample_mass_shell(gaussian, grid41, shg.mass)
     assert_allclose(out.component(1), fp.values, atol=0)
     assert abs(out.component(0)) == 0
@@ -207,7 +216,7 @@ def test_field_phi_on_vacuum(shg, gaussian, grid41):
 
 def test_field_bound(shg, gaussian, grid21, rng):
     Phi = wq.random_fock(shg, grid21, 2, rng)
-    out = wq.field_phi(shg, gaussian, Phi)
+    out = _phi(shg, gaussian, Phi)
     scale = field_norm_scale(sample_mass_shell(gaussian, grid21, shg.mass))
     assert out.norm() <= scale * Phi.number_half_power(1.0).norm() + 1e-12
 
@@ -215,8 +224,8 @@ def test_field_bound(shg, gaussian, grid21, rng):
 def test_field_adjoint(shg, gaussian, grid21, rng):
     Phi = wq.random_fock(shg, grid21, 2, rng)
     Psi = wq.random_fock(shg, grid21, 3, rng)
-    lhs = wq.field_phi(shg, gaussian, Phi).inner(Psi)
-    rhs = Phi.inner(wq.field_phi(shg, gaussian.conj(), Psi))
+    lhs = _phi(shg, gaussian, Phi).inner(Psi)
+    rhs = Phi.inner(_phi(shg, gaussian.conj(), Psi))
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -226,9 +235,9 @@ def test_field_covariance(shg, gaussian, grid41, rng):
     x = (0.5, -0.7)
     g = wq.PoincareElement(x, lam)
     lhs = wq.poincare_apply(
-        shg, g, wq.field_phi(shg, gaussian,
-                             wq.poincare_apply(shg, g.inverse(), Phi)))
-    rhs = wq.field_phi(shg, gaussian.transformed(x, lam), Phi)
+        shg, g, _phi(shg, gaussian,
+                     wq.poincare_apply(shg, g.inverse(), Phi)))
+    rhs = _phi(shg, gaussian.transformed(x, lam), Phi)
     assert lhs.sub(rhs).norm() / Phi.norm() < 1e-10
 
 
@@ -237,15 +246,13 @@ def test_prime_field_on_vacuum_and_coincidence(catalogue, gaussian, grid21, rng)
     shg = catalogue["shg"]
     om = FockVector.vacuum(grid21)
     fp, _ = sample_mass_shell(gaussian, grid21, shg.mass)
-    assert_allclose(wq.field_phi_prime(shg, gaussian, om).component(1),
+    assert_allclose(_phi_prime(shg, gaussian, om).component(1),
                     fp.values, atol=1e-14)
     Phi = wq.random_fock(free, grid21, 2, rng)
-    d = wq.field_phi_prime(free, gaussian, Phi).sub(
-        wq.field_phi(free, gaussian, Phi)).norm()
+    d = _phi_prime(free, gaussian, Phi).sub(_phi(free, gaussian, Phi)).norm()
     assert d / Phi.norm() < 1e-12
     Phi = wq.random_fock(shg, grid21, 2, rng)
-    d = wq.field_phi_prime(shg, gaussian, Phi).sub(
-        wq.field_phi(shg, gaussian, Phi)).norm()
+    d = _phi_prime(shg, gaussian, Phi).sub(_phi(shg, gaussian, Phi)).norm()
     assert d / Phi.norm() > 1e-3      # genuinely different fields
 
 
@@ -254,15 +261,14 @@ def test_two_point_function_model_independent(catalogue, gaussian, grid41):
     vals = []
     for S in catalogue.values():
         om = FockVector.vacuum(grid41)
-        vals.append(om.inner(wq.field_phi(S, gaussian,
-                                          wq.field_phi(S, g2, om))))
+        vals.append(om.inner(_phi(S, gaussian, _phi(S, g2, om))))
     assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
 
 def test_gamma_covariance(shg, gaussian, grid21, rng):
     Phi = wq.random_fock(shg, grid21, 2, rng)
-    lhs = wq.reflect_gamma(wq.field_phi(shg, gaussian, wq.reflect_gamma(Phi)))
-    rhs = wq.field_phi(shg, gaussian.time_reflected(), Phi)
+    lhs = wq.reflect_gamma(_phi(shg, gaussian, wq.reflect_gamma(Phi)))
+    rhs = _phi(shg, gaussian.time_reflected(), Phi)
     assert lhs.sub(rhs).norm() / Phi.norm() < 1e-12
 
 
@@ -319,6 +325,81 @@ def test_nonlocality_witness(catalogue, grid41):
     # Ising with spacelike-separated supports: nonzero witness
     op_ising, _ = wq.nonlocality_witness(catalogue["ising"], f, g, grid41)
     assert np.max(np.abs(op_ising)) > 0
+
+
+def test_witness_sees_a_creator_leaving_the_symmetric_subspace(
+        monkeypatch, catalogue, grid41):
+    # a creator whose level 2 gains a part outside the twisted-symmetric
+    # subspace, linear in psi (through a fixed random functional v) so it
+    # does not cancel in the commutator: the witness compares the field
+    # kernel's own tensor, so it must see the defect
+    shg = catalogue["shg"]
+    f = wq.Bump2D((-0.3, 0.4, 0.9, 1.9))
+    g = wq.Bump2D((-0.2, 0.35, -2.0, -1.0))
+    rng = np.random.default_rng(7)
+    N = grid41.count
+    r = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    off = 1e-6 * (r - wq.symmetrize(shg, r, grid41))
+    v = rng.standard_normal(N)
+    create = fields.create
+
+    def leaky(S, psi, Phi):
+        out = create(S, psi, Phi)
+        if out.n_max < 2:
+            return out
+        comps = list(out.components)
+        comps[2] = comps[2] + off * np.dot(v, psi.values)
+        return FockVector(out.grid, comps)
+
+    op, closed = wq.nonlocality_witness(shg, f, g, grid41)
+    assert np.max(np.abs(op - closed)) < 1e-10
+    monkeypatch.setattr(fields, "create", leaky)
+    op, closed = wq.nonlocality_witness(shg, f, g, grid41)
+    assert np.max(np.abs(op - closed)) > 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(-2.0, 2.0),
+       st.floats(0.05, 2.0),
+       st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0),
+       st.floats(0.3, 2.0), st.integers(1, 40))
+def test_star_pair_is_the_conjugate_pair(a0, w0, a1, w1, amplitude, mass,
+                                         half_count):
+    # f*(x) = conj f(-x) makes (f*)^{+-} = conj f^{+-} at real rapidity,
+    # bit for bit and down to the sign of zero: phi' conjugates f's own
+    # pair instead of sampling f*, and no output moves
+    f = wq.Bump2D((a0, a0 + w0, a1, a1 + w1), amplitude=amplitude)
+    grid = wq.RapidityGrid(6.0, 2 * half_count + 1)
+    for star, psi in zip(sample_mass_shell(f.star(), grid, mass),
+                         sample_mass_shell(f, grid, mass)):
+        want = np.conj(psi.values)
+        assert np.array_equal(star.values, want)
+        assert np.array_equal(np.signbit(star.values.imag),
+                              np.signbit(want.imag))
+        assert np.array_equal(np.signbit(star.values.real),
+                              np.signbit(want.real))
+
+
+def test_pair_from_another_grid_raises(shg, gaussian, grid21, grid41, rng):
+    # a pair is sampled on one grid: applying it on another is an error
+    plus, minus = sample_mass_shell(gaussian, grid21, shg.mass)
+    Phi = wq.random_fock(shg, grid41, 1, rng)
+    with pytest.raises(GridError):
+        wq.field_phi(shg, (plus, minus), Phi)
+    with pytest.raises(GridError):
+        wq.field_phi_prime(shg, (plus, minus), Phi)
+    with pytest.raises(GridError):
+        annihilate(shg, minus, Phi)
+
+
+def test_unknown_choices_raise(shg, gaussian, bump, grid21):
+    with pytest.raises(ValueError, match="sign"):
+        wq.mass_shell(gaussian, 0, [0.0], mass=shg.mass)
+    with pytest.raises(ValueError, match="unknown wedge"):
+        wq.in_wedge(bump.box, "X")
+    with pytest.raises(ValueError, match="unknown time-zero field"):
+        wq.timezero_field(shg, wq.Gaussian1D(0.3, 0.8), "rho",
+                          FockVector.vacuum(grid21))
 
 
 def test_bump_order_cap_raises_instead_of_aliasing():

@@ -8,7 +8,7 @@ import pytest
 
 import wedgeqft as wq
 from oracles import creator_top_level_dense, operator_commutator_dense
-from wedgeqft import fock, locality, suites
+from wedgeqft import fields, fock, locality, suites
 from wedgeqft.config import load_config
 from wedgeqft.errors import TailError, TruncationCapError, WedgeQFTError
 from wedgeqft.locality import RESIDUAL_FLOOR
@@ -188,6 +188,31 @@ def test_line_restrictions_computed_once(monkeypatch, rng):
         assert calls == [(loc.order, 2.0)] * 6
 
 
+def test_each_test_function_sampled_once_per_grid(monkeypatch, shg,
+                                                  wedge_pair, rng):
+    calls = []
+
+    def counting(f, sign, zeta, mass):
+        calls.append(f)
+        return wq.mass_shell(f, sign, zeta, mass)
+
+    # the contour checks call mass_shell from locality, the fields' pairs
+    # from fields
+    monkeypatch.setattr(locality, "mass_shell", counting)
+    monkeypatch.setattr(fields, "mass_shell", counting)
+    f, g = wedge_pair
+    Phi = wq.random_fock(shg, wq.RapidityGrid(6.0, 21), 1, rng)
+    locality.verify_operator_commutator(shg, f, g, Phi)
+    # f+, f- and g+, g-: phi'(f) conjugates f's pair instead of sampling f*
+    assert calls == [f, f, g, g]
+
+    calls.clear()
+    suites.verify_locality(load_config("catalogue:shg-b050"), rng)
+    # six contour lines, four per refinement order, four per operator
+    # check (three) and four for the witness
+    assert len(calls) == 6 + 3 * 4 + 3 * 4 + 4
+
+
 def test_verify_locality_draws_each_spectator_tuple_once(rng):
     # every n = 0 tuple is the empty one, so the suite draws it once
     cfg = load_config("catalogue:free",
@@ -225,6 +250,9 @@ def test_operator_commutator_support_check(shg, wedge_pair, rng):
     gauss = wq.Gaussian2D.isotropic((0, 1.0), 0.3)
     with pytest.raises(WedgeQFTError):
         wq.verify_operator_commutator(shg, gauss, g, Phi)
+    # f in W_R, but g there too instead of in W_L
+    with pytest.raises(WedgeQFTError, match="not inside W_L"):
+        wq.verify_operator_commutator(shg, f, f, Phi)
 
 
 def test_operator_commutator_wrong_wedges_generic_model(shg, wedge_pair, rng):
