@@ -365,9 +365,11 @@ def timezero_field(S, f1d, which, Phi):
 def nonlocality_witness(S, f, g, grid):
     """Two-particle part of [phi(f), phi(g)] Omega, twice over.
 
-    Returns (field kernel's level-2 tensor, closed form); the closed form is
-    (f+(t1) g+(t2) - g+(t1) f+(t2)) (1 - S2(t2 - t1)) / sqrt(2) sampled on
-    the grid.  Both vanish identically iff S2 = 1 or f = g.
+    Returns (field kernel's level-2 tensor, closed form, max |f+ (x) g+|);
+    the closed form is (f+(t1) g+(t2) - g+(t1) f+(t2)) (1 - S2(t2 - t1))
+    / sqrt(2) sampled on the grid.  Both vanish identically iff S2 = 1 or
+    f = g; the last value, the size of the products the commutator
+    subtracts, does not.
     """
     f_pair = sample_mass_shell(f, grid, S.mass)
     g_pair = sample_mass_shell(g, grid, S.mass)
@@ -379,4 +381,5 @@ def nonlocality_witness(S, f, g, grid):
     M = node_matrix(S, grid)
     closed = (np.multiply.outer(fp, gp) - np.multiply.outer(gp, fp)) \
         * (1.0 - M.T) / math.sqrt(2)
-    return commutator.component(2), closed
+    return (commutator.component(2), closed,
+            float(np.max(np.abs(fp)) * np.max(np.abs(gp))))

@@ -10,11 +10,17 @@ identities close exactly at grid level instead of up to quadrature error.
 One kernel, :func:`_insert`, carries the twisted insertion behind the
 creator, the symmetrizer and (z^dag x z): I_a sums the moves of slot a to
 each slot k >= a, every move one twisted adjacent swap past the last.  It
-consumes its tensor argument and accumulates the sum into it.  The
-symmetrizer factors over the cosets of S_{n-1} (Okounkov & Vershik,
-Selecta Math. 2 (1996) 581) as P_n = (1/n) I_0 (1 x P_{n-1}): n(n-1)/2
-twisted swaps instead of n! permutations.  On a twisted-symmetric
-Phi_{n-1} the creator is n^{-1/2} I_0 (psi x Phi_{n-1}).
+consumes its tensor argument and accumulates the sum into it.  It reads
+only the block where slot a runs over a given span and each later slot
+over a given box, and adds each move into that move's block.  The creator
+passes psi's nonzero span and the support box of Phi_{n-1}, the hull over
+every slot: it skips only terms that are exactly zero, so each entry sees
+the dense insertion's operations in the same order.  The symmetrizer and
+(z^dag x z) pass whole slots.  The symmetrizer factors over the cosets of
+S_{n-1} (Okounkov & Vershik, Selecta Math. 2 (1996) 581) as
+P_n = (1/n) I_0 (1 x P_{n-1}): n(n-1)/2 twisted swaps instead of n!
+permutations.  On a twisted-symmetric Phi_{n-1} the creator is
+n^{-1/2} I_0 (psi x Phi_{n-1}).
 
 Vectors own their arrays: the constructors freeze what they are given, so
 read-only arrays are shared between vectors and never copied to protect them.
@@ -219,31 +225,62 @@ def apply_dn(S, perm, psi_n, grid):
     return out
 
 
-def _insert(M, t, a=0):
+_ALL = slice(None)
+
+
+def _support(c):
+    """The slice from the first to the last node at which ``c`` is nonzero
+    in some slot: the hull over every slot, a one-slot ``c``'s span."""
+    nonzero = c != 0
+    used = np.zeros(c.shape[:1], dtype=bool)
+    for axis in range(c.ndim):
+        used |= nonzero.any(axis=tuple(k for k in range(c.ndim) if k != axis))
+    idx = np.flatnonzero(used)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
+def _insert(M, t, a=0, span=_ALL, box=_ALL):
     """Sum over k >= a of slot a of ``t`` moved to slot k, with the twist.
 
     Moving the slot one place right swaps it past its neighbour and
-    multiplies by S2(t_{k+1} - t_k) of the two nodes.  ``t`` is consumed:
-    the sum is accumulated into it and returned.
+    multiplies by S2(t_{k+1} - t_k) of the two nodes.  ``t`` must vanish
+    outside its block where slot a runs over ``span`` and each later slot
+    over ``box``; only that block is read, and each move is added into
+    its own block.  ``t`` is consumed: the sum is accumulated into it and
+    returned.
     """
     n = t.ndim
     if a >= n - 1:
         return t
-    term = np.swapaxes(t, a, a + 1) * _on_axes(M.T, n, a, a + 1)
-    t += term
-    _move_on(M, t, term, a + 1, n - 1)
+    MT = M.T[box, span]
+    slots = [_ALL] * a + [span] + [box] * (n - 1 - a)
+    term = np.swapaxes(t[tuple(slots)], a, a + 1) * _on_axes(MT, n, a, a + 1)
+    slots[a], slots[a + 1] = slots[a + 1], slots[a]
+    block = t[tuple(slots)]
+    block += term
+    _move_on(MT, t, term, slots, a + 1, n - 1)
     return t
 
 
-def _move_on(M, acc, term, start, stop):
+def _move_on(MT, acc, term, slots, start, stop):
     """Move the travelling slot of ``term`` from slot ``start`` on to each
     slot up to ``stop``, one twisted adjacent swap at a time, and add every
-    move to ``acc``.  ``term`` is consumed."""
+    move into its block of ``acc``.  ``term`` is the block of ``acc`` that
+    ``slots`` index; ``MT`` holds the S2 factors with the neighbour's nodes
+    as rows and the travelling slot's as columns.  ``term`` and ``slots``
+    are consumed."""
     n = term.ndim
     for k in range(start, stop):
         term = np.swapaxes(term, k, k + 1)
-        term *= _on_axes(M.T, n, k, k + 1)
-        acc += term
+        if term.size > 1:
+            term *= _on_axes(MT, n, k, k + 1)
+        else:
+            # in place, numpy would multiply a single entry on its
+            # reduction loop, which rounds complex products differently
+            term = term * _on_axes(MT, n, k, k + 1)
+        slots[k], slots[k + 1] = slots[k + 1], slots[k]
+        block = acc[tuple(slots)]
+        block += term
 
 
 def symmetrize(S, psi_n, grid):
@@ -288,18 +325,27 @@ def create(S, psi, Phi):
         n^{-1/2} sum_k prod_{j<k} S2(t_k - t_j) psi(t_k) Phi_{n-1}(... t_k hat ...)
 
     = n^{-1/2} I_0 (psi (x) Phi_{n-1}) = sqrt(n) P_n (psi (x) Phi_{n-1}) for
-    twisted-symmetric Phi.
+    twisted-symmetric Phi.  The insertion runs over psi's nonzero span in
+    the travelling slot and Phi_{n-1}'s support box in the others, so it
+    skips only terms that are exactly zero.
     """
     grid = Phi.grid
     if psi.grid != grid:
         raise GridError("grid mismatch between psi and Phi")
     _check_tensor_budget(grid.count, Phi.n_max + 1)
     M = node_matrix(S, grid)
+    span = _support(psi.values)
     comps = [np.zeros((), dtype=complex)]
     for n in range(1, Phi.n_max + 2):
+        c = Phi.component(n - 1)
+        box = _support(c)
+        slots = (span,) + (box,) * (n - 1)
+        out = np.zeros((grid.count,) * n, dtype=complex)
         # lower level first: the operand order fixes the last bits
-        t = Phi.component(n - 1)[None] * psi.values.reshape((-1,) + (1,) * (n - 1))
-        out = _insert(M, t)
+        np.multiply(c[(None,) + slots[1:]],
+                    psi.values[span].reshape((-1,) + (1,) * (n - 1)),
+                    out=out[slots])
+        _insert(M, out, 0, span, box)
         out /= math.sqrt(n)
         comps.append(out)
     return FockVector(grid, comps)

@@ -160,16 +160,18 @@ def verify_locality(cfg, rng):
                                               check_support=False)
     negative_ok = neg > 1e-2
 
-    # witness: operator commutator against the closed two-particle form
+    # witness: operator commutator against the closed two-particle form, to
+    # 1e-10 of the form's largest entry, or of the products the commutator
+    # subtracts where they are larger (the form vanishes when S2 = 1)
     wit_grid = RapidityGrid(cfg.grid.half_width, min(cfg.grid.count, 41))
-    op_tensor, closed = nonlocality_witness(S, f, g, wit_grid)
+    op_tensor, closed, products = nonlocality_witness(S, f, g, wit_grid)
     wit = float(np.max(np.abs(op_tensor - closed)))
+    wit_ok = wit <= 1e-10 * max(float(np.max(np.abs(closed))), products)
 
     passed = (rep.max_relative <= loc.contour_tol
               and rep.shift_relative <= loc.contour_tol
               and op <= loc.operator_tol
-              and refine_ok and halving_ok and negative_ok
-              and wit <= 1e-10)
+              and refine_ok and halving_ok and negative_ok and wit_ok)
     summary = {"max_contour_relative": rep.max_relative,
                "shift_relative": rep.shift_relative,
                "contour_tol": loc.contour_tol,

@@ -2,11 +2,13 @@
 
 Each one builds its object literally from the definition (sums over all
 n! permutations, explicit tensor products, every term of a series), so it
-shares no kernel with the code under test.  The dense Nystrom spectrum
-shares only the matrix assembly: what it checks is the real, row-trimmed
-reduction that ``singular_values`` applies to that matrix.  The strip sup
-norm reference shares only ``evaluate``: it maximizes by scipy's optimizer,
-not by the certified bisection.
+shares no kernel with the code under test.  The dense creator is the
+insertion itself on whole tensors, move by move: what it checks is that
+the creator's support blocks leave out only exact zeros.  The dense
+Nystrom spectrum shares only the matrix assembly: what it checks is the
+real, row-trimmed reduction that ``singular_values`` applies to that
+matrix.  The strip sup norm reference shares only ``evaluate``: it
+maximizes by scipy's optimizer, not by the certified bisection.
 """
 
 from itertools import permutations
@@ -20,6 +22,7 @@ import wedgeqft as wq
 from wedgeqft.fields import field_norm_scale, field_phi, sample_mass_shell
 from wedgeqft.fock import FockVector, _on_axes, _weighted_inner, reflect_j
 from wedgeqft.nuclearity import _nystrom_matrix
+from wedgeqft.sfunction import node_matrix
 
 
 def symmetrize_by_permutations(S, psi_n, grid):
@@ -40,6 +43,23 @@ def create_via_projection(S, psi, Phi):
     for n in range(1, Phi.n_max + 2):
         prod = np.multiply.outer(psi.values, Phi.component(n - 1))
         comps[n] = math.sqrt(n) * symmetrize_by_permutations(S, prod, grid)
+    return FockVector(grid, comps)
+
+
+def create_dense(S, psi, Phi):
+    """Creator n^{-1/2} I_0 (psi (x) Phi_{n-1}) with every slot over the
+    whole grid: psi's slot moved to each slot k, one twisted adjacent swap
+    at a time, and the moves summed in order."""
+    grid = Phi.grid
+    MT = node_matrix(S, grid).T
+    comps = [np.zeros((), dtype=complex)]
+    for n in range(1, Phi.n_max + 2):
+        out = Phi.component(n - 1)[None] * psi.values.reshape((-1,) + (1,) * (n - 1))
+        term = out
+        for k in range(n - 1):
+            term = np.swapaxes(term, k, k + 1) * _on_axes(MT, n, k, k + 1)
+            out += term
+        comps.append(out / math.sqrt(n))
     return FockVector(grid, comps)
 
 

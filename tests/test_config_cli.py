@@ -629,14 +629,43 @@ def test_creators_commute_row_catches_an_untwisted_creator(monkeypatch):
     res, rows = residuals()
     assert res.passed and rows["creators_commute"] <= cfg.algebra.tol
 
-    def untwisted(M, acc, term, start, stop):
+    def untwisted(MT, acc, term, slots, start, stop):
         for k in range(start, stop):
             term = np.swapaxes(term, k, k + 1)
-            acc += term
+            slots[k], slots[k + 1] = slots[k + 1], slots[k]
+            block = acc[tuple(slots)]
+            block += term
 
     monkeypatch.setattr(fock, "_move_on", untwisted)
     res, rows = residuals()
     assert rows["creators_commute"] > cfg.algebra.tol
+    assert res.passed is False
+
+
+def test_smatrix_catches_a_creator_span_short_of_psi(monkeypatch):
+    # the creator moves psi's slot over psi's nonzero span only; a span
+    # that stops one node short of psi's last nonzero node leaves that
+    # node's amplitude unmoved, and the collision-state overlap must miss
+    # its oracle by more than tol
+    from wedgeqft import fock, suites
+    cfg = load_config("catalogue:shg-b050")
+
+    def run():
+        return suites.run_smatrix(cfg, np.random.default_rng(1))
+
+    res = run()
+    assert res.passed
+    insert = fock._insert
+
+    def short(M, t, a=0, span=fock._ALL, box=fock._ALL):
+        if span != fock._ALL:
+            span = slice(span.start, span.stop - 1)
+        return insert(M, t, a, span, box)
+
+    monkeypatch.setattr(fock, "_insert", short)
+    res = run()
+    worst = max(v["max_overlap_residual"] for v in res.summary["per_n"].values())
+    assert worst > cfg.smatrix.tol
     assert res.passed is False
 
 

@@ -314,16 +314,16 @@ def test_nonlocality_witness(catalogue, grid41):
     f = wq.Bump2D((-0.3, 0.4, 0.9, 1.9))
     g = wq.Bump2D((-0.2, 0.35, -2.0, -1.0))
     shg = catalogue["shg"]
-    op, closed = wq.nonlocality_witness(shg, f, g, grid41)
+    op, closed, _ = wq.nonlocality_witness(shg, f, g, grid41)
     assert np.max(np.abs(op - closed)) < 1e-10 * max(np.max(np.abs(closed)), 1)
     assert np.max(np.abs(closed)) > 0
-    op_free, closed_free = wq.nonlocality_witness(catalogue["free"], f, g, grid41)
+    op_free, closed_free, _ = wq.nonlocality_witness(catalogue["free"], f, g, grid41)
     assert np.max(np.abs(op_free)) < 1e-14
     assert np.max(np.abs(closed_free)) == 0
-    op_same, _ = wq.nonlocality_witness(shg, f, f, grid41)
+    op_same, *_ = wq.nonlocality_witness(shg, f, f, grid41)
     assert np.max(np.abs(op_same)) < 1e-14
     # Ising with spacelike-separated supports: nonzero witness
-    op_ising, _ = wq.nonlocality_witness(catalogue["ising"], f, g, grid41)
+    op_ising, *_ = wq.nonlocality_witness(catalogue["ising"], f, g, grid41)
     assert np.max(np.abs(op_ising)) > 0
 
 
@@ -351,10 +351,10 @@ def test_witness_sees_a_creator_leaving_the_symmetric_subspace(
         comps[2] = comps[2] + off * np.dot(v, psi.values)
         return FockVector(out.grid, comps)
 
-    op, closed = wq.nonlocality_witness(shg, f, g, grid41)
+    op, closed, _ = wq.nonlocality_witness(shg, f, g, grid41)
     assert np.max(np.abs(op - closed)) < 1e-10
     monkeypatch.setattr(fields, "create", leaky)
-    op, closed = wq.nonlocality_witness(shg, f, g, grid41)
+    op, closed, _ = wq.nonlocality_witness(shg, f, g, grid41)
     assert np.max(np.abs(op - closed)) > 1e-8
 
 

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
-from oracles import create_via_projection, symmetrize_by_permutations
+from oracles import (create_dense, create_via_projection,
+                     symmetrize_by_permutations)
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
-from wedgeqft.fock import FockVector, dn_law_residuals, _weighted_inner
+from wedgeqft.fock import (FockVector, dn_law_residuals, _on_axes,
+                           _weighted_inner)
 from wedgeqft.sfunction import evaluate
 
 HALF_PI = math.pi / 2
@@ -191,6 +193,65 @@ def test_create_matches_projection(catalogue, grid7, rng):
         a = wq.create(S, psi, Phi)
         b = create_via_projection(S, psi, Phi)
         assert a.sub(b).norm() < 1e-12
+
+
+def _supported(rng, shape, slots):
+    """A random tensor that vanishes outside slots[a] on each axis a."""
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for axis, keep in enumerate(slots):
+        mask = np.zeros(shape[axis], dtype=bool)
+        mask[keep] = True
+        t *= _on_axes(mask, t.ndim, axis)
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((+1, -1)),
+       st.lists(st.tuples(st.floats(-3, 3), st.floats(0.05, HALF_PI)),
+                min_size=1, max_size=2),
+       st.integers(0, 3), st.sampled_from((5, 7, 9)),
+       st.sampled_from(("margins", "single", "zero")),
+       st.sampled_from(("shells", "zero_level", "raw")),
+       st.integers(0, 2 ** 32 - 1))
+def test_create_equals_dense_insertion(eps, zeros, n_max, count, psi_kind,
+                                       phi_kind, seed):
+    # the creator reads only psi's span and Phi's support box, so it may
+    # skip exact zeros and nothing else: every level equals the dense one
+    S = wq.build_model(eps, zeros=[complex(re, im) for re, im in zeros])
+    grid = wq.RapidityGrid(3.0, count)
+    rng = np.random.default_rng(seed)
+
+    def interval():
+        lo = int(rng.integers(0, count))
+        return slice(lo, int(rng.integers(lo + 1, count + 1)))
+
+    if psi_kind == "margins":
+        span = interval()
+    elif psi_kind == "single":
+        k = int(rng.integers(0, count))
+        span = slice(k, k + 1)
+    else:
+        span = slice(0, 0)
+    psi = wq.WaveFunction1(grid, _supported(rng, (count,), [span]))
+    if phi_kind == "shells":
+        Phi = wq.random_fock(S, grid, n_max, rng,
+                             margin=int(rng.integers(1, (count + 1) // 2)))
+    elif phi_kind == "zero_level":
+        comps = list(wq.random_fock(S, grid, n_max, rng).components)
+        level = int(rng.integers(0, n_max + 1))
+        comps[level] = np.zeros_like(comps[level])
+        Phi = FockVector(grid, comps)
+    else:
+        # not twisted-symmetric: each slot has its own support, so a box
+        # read off one slot would drop entries
+        Phi = FockVector(grid, [_supported(rng, (count,) * n,
+                                           [interval() for _ in range(n)])
+                                for n in range(n_max + 1)])
+    got = wq.create(S, psi, Phi)
+    want = create_dense(S, psi, Phi)
+    assert got.n_max == want.n_max == n_max + 1
+    for n, (a, b) in enumerate(zip(got.components, want.components)):
+        assert np.array_equal(a, b), n
 
 
 def test_create_annihilate_vacuum(shg, grid21, rng):

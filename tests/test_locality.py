@@ -223,6 +223,24 @@ def test_verify_locality_draws_each_spectator_tuple_once(rng):
     assert len(set(thetas)) == len(thetas) == 1 + 3 * cfg.locality.spectators
 
 
+def test_witness_threshold_is_relative_to_the_closed_form(monkeypatch):
+    # the closed form peaks near 1e-5 on the witness grid, so an operator
+    # tensor off by 1e-6 of its largest entry is off by about 1e-11: below
+    # an absolute 1e-10, yet a wrong tensor, and the suite must fail
+    cfg = load_config("catalogue:shg-b050")
+    assert suites.verify_locality(cfg, np.random.default_rng(1)).passed
+    witness = suites.nonlocality_witness
+
+    def perturbed(S, f, g, grid):
+        op, closed, products = witness(S, f, g, grid)
+        return op + 1e-6 * np.max(np.abs(closed)), closed, products
+
+    monkeypatch.setattr(suites, "nonlocality_witness", perturbed)
+    res = suites.verify_locality(cfg, np.random.default_rng(1))
+    assert 1e-12 < res.summary["witness_agreement"] < 1e-10
+    assert res.passed is False
+
+
 def test_operator_commutator_and_halving(shg, wedge_pair, rng):
     f, g = wedge_pair
     grid = wq.RapidityGrid(6.0, 81)
