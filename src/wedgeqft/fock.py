@@ -22,6 +22,10 @@ P_n = (1/n) I_0 (1 x P_{n-1}): n(n-1)/2 twisted swaps instead of n!
 permutations.  On a twisted-symmetric Phi_{n-1} the creator is
 n^{-1/2} I_0 (psi x Phi_{n-1}).
 
+The inner product and the annihilator sum over the nodes in a fixed order
+without BLAS, which would split its sums by thread and so make the
+rounding depend on the thread count.
+
 Vectors own their arrays: the constructors freeze what they are given, so
 read-only arrays are shared between vectors and never copied to protect them.
 """
@@ -172,11 +176,30 @@ class FockVector:
 
 
 def _weighted_inner(grid, a, b):
-    """<a, b> with the n-fold product of trapezoid weights."""
-    t = np.conj(a) * b
+    """<a, b> with the n-fold product of trapezoid weights.
+
+    From rank 3 the product is formed one first-axis slab at a time, so no
+    level-sized temporary is built.  Every contraction is an einsum without
+    ``optimize``, which never calls BLAS: the sum runs in one fixed order at
+    any thread count.
+    """
+    w = grid.weights
+    if a.ndim < 3:
+        return complex(_fold(np.conj(a) * b, w))
+    slab = np.empty(a.shape[1:], dtype=complex)
+    sums = np.empty(a.shape[0], dtype=complex)
+    for i in range(a.shape[0]):
+        np.conjugate(a[i], out=slab)
+        slab *= b[i]
+        sums[i] = _fold(slab, w)
+    return complex(np.einsum("i,i->", sums, w))
+
+
+def _fold(t, w):
+    """Contract every axis of ``t`` against ``w``, the last axis first."""
     for _ in range(t.ndim):
-        t = np.tensordot(t, grid.weights, axes=([0], [0]))
-    return complex(t)
+        t = np.einsum("...j,j->...", t, w)
+    return t
 
 
 def _check_tensor_budget(count, n):
@@ -284,19 +307,20 @@ def _move_on(MT, acc, term, slots, start, stop):
 
 
 def symmetrize(S, psi_n, grid):
-    """Mean of the twisted action over all permutations (the projector).
+    """Mean of the twisted action over all permutations (the projector),
+    applied to a copy of ``psi_n``."""
+    _check_tensor_budget(grid.count, np.ndim(psi_n))
+    return _project(node_matrix(S, grid),
+                    np.array(psi_n, dtype=complex, order="C"))
 
-    Built as P_n = (1/n) I_0 (1 x P_{n-1}), innermost slots first.
-    """
-    psi_n = np.asarray(psi_n, dtype=complex)
-    n = psi_n.ndim
-    _check_tensor_budget(grid.count, n)
-    out = psi_n.copy()
-    M = node_matrix(S, grid)
+
+def _project(M, t):
+    """P_n = (1/n) I_0 (1 x P_{n-1}) on ``t`` in place, innermost slots first."""
+    n = t.ndim
     for a in range(n - 2, -1, -1):
-        out = _insert(M, out, a)
-        out /= n - a
-    return out
+        _insert(M, t, a)
+        t /= n - a
+    return t
 
 
 def annihilate(S, psi, Phi):
@@ -313,7 +337,11 @@ def annihilate(S, psi, Phi):
     top = max(Phi.n_max - 1, 0)
     for n in range(top + 1):
         src = Phi.component(n + 1)
-        comps.append(math.sqrt(n + 1) * np.tensordot(wpsi, src, axes=([0], [0])))
+        # one axpy per node, in node order, without BLAS (module docstring)
+        acc = wpsi[0] * src[0]
+        for j in range(1, grid.count):
+            acc += wpsi[j] * src[j]
+        comps.append(math.sqrt(n + 1) * acc)
     return FockVector(grid, comps)
 
 
@@ -425,7 +453,7 @@ def dn_law_residuals(S, grid, n, trials, rng):
         worst[law] = max(worst.get(law, 0.0), residual)
 
     def rand():
-        return rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
+        return _complex_normal(rng, N, n)
 
     def wnorm(x):
         return math.sqrt(abs(_weighted_inner(grid, x, x)))
@@ -571,21 +599,38 @@ def random_fock(S, grid, n_max, rng, margin=0):
 
     Zeroing the outer `margin` nodes before symmetrizing keeps boost tests
     exact (shifted amplitude never reaches the trapezoid half-weight ends).
+    The budget of the top level, the largest, is checked before anything is
+    drawn, and each level is symmetrized in the array it was drawn into.
     """
     N = grid.count
-    comps = [np.asarray(rng.standard_normal() + 1j * rng.standard_normal(),
-                        dtype=complex)]
+    _check_tensor_budget(N, n_max)
+    M = node_matrix(S, grid)
+    comps = [_complex_normal(rng, N, 0)]
     for n in range(1, n_max + 1):
-        raw = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
+        raw = _complex_normal(rng, N, n)
         for axis in range(n if margin > 0 else 0):  # [-0:] is all of raw
             shells = np.moveaxis(raw, axis, 0)     # a view into raw
             shells[:margin] = 0.0
             shells[-margin:] = 0.0
-        comps.append(symmetrize(S, raw, grid))
+        comps.append(_project(M, raw))
     return FockVector(grid, comps)
 
 
 def random_wavefunction(grid, rng):
     """Random one-particle vector of unit norm."""
-    v = rng.standard_normal(grid.count) + 1j * rng.standard_normal(grid.count)
+    v = _complex_normal(rng, grid.count, 1)
     return WaveFunction1(grid, v / WaveFunction1(grid, v).norm())
+
+
+def _complex_normal(rng, count, n):
+    """Complex standard normals on a rank-n tensor over ``count`` nodes.
+
+    The dense budget is checked before anything is drawn.  The real parts
+    are drawn first and then the imaginary parts, the stream order (and
+    the bytes) of ``a + 1j * b``.
+    """
+    _check_tensor_budget(count, n)
+    out = np.empty((count,) * n, dtype=complex)
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    return out

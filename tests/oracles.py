@@ -2,13 +2,15 @@
 
 Each one builds its object literally from the definition (sums over all
 n! permutations, explicit tensor products, every term of a series), so it
-shares no kernel with the code under test.  The dense creator is the
-insertion itself on whole tensors, move by move: what it checks is that
-the creator's support blocks leave out only exact zeros.  The dense
-Nystrom spectrum shares only the matrix assembly: what it checks is the
-real, row-trimmed reduction that ``singular_values`` applies to that
-matrix.  The strip sup norm reference shares only ``evaluate``: it
-maximizes by scipy's optimizer, not by the certified bisection.
+shares no kernel with the code under test.  The dense inner product forms
+the whole product of two levels and contracts it through BLAS.  The dense
+creator is the insertion itself on whole tensors, move by move: what it
+checks is that the creator's support blocks leave out only exact zeros.
+The dense Nystrom spectrum shares only the matrix assembly: what it
+checks is the real, row-trimmed reduction that ``singular_values``
+applies to that matrix.  The strip sup norm reference shares only
+``evaluate``: it maximizes by scipy's optimizer, not by the certified
+bisection.
 """
 
 from itertools import permutations
@@ -20,7 +22,7 @@ from scipy.special import gammaln
 
 import wedgeqft as wq
 from wedgeqft.fields import field_norm_scale, field_phi, sample_mass_shell
-from wedgeqft.fock import FockVector, _on_axes, _weighted_inner, reflect_j
+from wedgeqft.fock import FockVector, _on_axes, reflect_j
 from wedgeqft.nuclearity import _nystrom_matrix
 from wedgeqft.sfunction import node_matrix
 
@@ -33,6 +35,15 @@ def symmetrize_by_permutations(S, psi_n, grid):
     for perm in permutations(range(n)):
         acc += wq.apply_dn(S, perm, psi_n, grid)
     return acc / math.factorial(n)
+
+
+def weighted_inner_dense(grid, a, b):
+    """<a, b> with the n-fold product of trapezoid weights, from the whole
+    product conj(a) * b contracted one axis at a time."""
+    t = np.conj(a) * b
+    for _ in range(t.ndim):
+        t = np.tensordot(t, grid.weights, axes=([0], [0]))
+    return complex(t)
 
 
 def create_via_projection(S, psi, Phi):
@@ -99,8 +110,8 @@ def creator_top_level_dense(S, f, g, Phi):
     """
     lhs, rhs = (v.components[-1] for v in _both_orders(S, f, g, Phi))
     diff = lhs - rhs
-    return (math.sqrt(abs(_weighted_inner(Phi.grid, diff, diff))),
-            math.sqrt(abs(_weighted_inner(Phi.grid, lhs, lhs))))
+    return (math.sqrt(abs(weighted_inner_dense(Phi.grid, diff, diff))),
+            math.sqrt(abs(weighted_inner_dense(Phi.grid, lhs, lhs))))
 
 
 def state_via_projection(S, packet, reverse=False):

@@ -263,6 +263,31 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a large gemv by thread, so a report leaf summed
+    # through BLAS changes in its last bits with the thread count; on this
+    # model and seed the operator residuals and two verify-algebra rows did
+    src = str(pathlib.Path(wq.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wedgeqft", "all", "--config",
+             "catalogue:free", "--seed", "1", "--format", "csv",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = [sorted(p.name for p in out.iterdir() if p.name != "timings.json")
+             for out in outs]
+    assert names[0] == names[1] and "report.json" in names[0]
+    for name in names[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_runtime_loads_no_scipy():
     # numpy is the only runtime dependency: the CLI import, a model load
     # and the two searches that once used scipy.optimize load no scipy

@@ -1,18 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
 from oracles import (create_dense, create_via_projection,
-                     symmetrize_by_permutations)
+                     symmetrize_by_permutations, weighted_inner_dense)
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
-from wedgeqft.fock import (FockVector, dn_law_residuals, _on_axes,
-                           _weighted_inner)
+from wedgeqft.fock import (FockVector, dn_law_residuals, _complex_normal,
+                           _on_axes, _weighted_inner)
 from wedgeqft.sfunction import evaluate
 
 HALF_PI = math.pi / 2
@@ -184,6 +185,65 @@ def test_symmetrize_matches_permutation_sum(eps, zeros, n, count, seed):
 def test_symmetrize_cap(shg, grid7, rng):
     with pytest.raises(TruncationCapError):
         wq.symmetrize(shg, np.zeros((7,) * 7), grid7)
+
+
+def test_symmetrize_keeps_its_input(shg, grid7, rng):
+    f = rand_tensor(grid7, 3, rng)
+    kept = f.copy()
+    P = wq.symmetrize(shg, f, grid7)
+    assert not np.shares_memory(P, f)
+    np.testing.assert_array_equal(f, kept)
+
+
+def zero_shells(t, margin):
+    """Zero the outer ``margin`` nodes of every slot of ``t`` in place."""
+    for axis in range(t.ndim if margin > 0 else 0):
+        shells = np.moveaxis(t, axis, 0)
+        shells[:margin] = 0.0
+        shells[-margin:] = 0.0
+    return t
+
+
+def random_fock_summed(S, grid, n_max, rng, margin=0):
+    """random_fock built from sums: each level drawn as a + 1j * b from two
+    real arrays, its shells zeroed, and symmetrized on a copy."""
+    N = grid.count
+    comps = [np.asarray(rng.standard_normal() + 1j * rng.standard_normal(),
+                        dtype=complex)]
+    for n in range(1, n_max + 1):
+        raw = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
+        comps.append(wq.symmetrize(S, zero_shells(raw, margin), grid))
+    return FockVector(grid, comps)
+
+
+@pytest.mark.parametrize("margin", [0, 3])
+def test_random_draws_keep_their_bytes(shg, grid21, margin):
+    # drawn into one complex array, real parts first, and symmetrized in
+    # place: the same stream and the same bytes as a + 1j * b
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = wq.random_fock(shg, grid21, 3, got_rng, margin=margin)
+    want = random_fock_summed(shg, grid21, 3, want_rng, margin=margin)
+    for a, b in zip(got.components, want.components, strict=True):
+        assert a.tobytes() == b.tobytes()
+    psi = wq.random_wavefunction(grid21, got_rng)
+    v = want_rng.standard_normal(21) + 1j * want_rng.standard_normal(21)
+    assert psi.values.tobytes() == (v / wq.WaveFunction1(grid21, v).norm()).tobytes()
+    for n in range(4):
+        shape = (21,) * n
+        assert (_complex_normal(got_rng, 21, n).tobytes()
+                == (want_rng.standard_normal(shape)
+                    + 1j * want_rng.standard_normal(shape)).tobytes())
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_random_fock_checks_the_budget_before_drawing(shg, grid21):
+    # rank 6 on 21 nodes is over the dense budget, rank 7 over the cap
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for n_max in (6, 7):
+        with pytest.raises(TruncationCapError):
+            wq.random_fock(shg, grid21, n_max, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_create_matches_projection(catalogue, grid7, rng):
@@ -419,6 +479,35 @@ def test_modular_boost(shg, grid21, rng):
     lhs = wq.modular_boost(shg, t1, wq.modular_boost(shg, t1, Phi))
     rhs = wq.modular_boost(shg, 2 * t1, Phi)
     assert lhs.sub(rhs).norm() / Phi.norm() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 20), st.integers(0, 21),
+       st.integers(0, 2 ** 32 - 1))
+@example(4, 20, 0, 0)     # rank 4 on 41 nodes
+@example(3, 20, 21, 0)    # every node zeroed
+def test_inner_matches_dense_product(n, half, margin, seed):
+    # the slab-wise, BLAS-free inner product against the whole product
+    # contracted through BLAS, with random_fock's zeroed shells on a
+    grid = wq.RapidityGrid(6.0, 2 * half + 1)
+    rng = np.random.default_rng(seed)
+    a = zero_shells(rand_tensor(grid, n, rng), min(margin, half + 1))
+    b = rand_tensor(grid, n, rng)
+    norms = math.sqrt(weighted_inner_dense(grid, a, a).real
+                      * weighted_inner_dense(grid, b, b).real)
+    got = _weighted_inner(grid, a, b)
+    assert abs(got - weighted_inner_dense(grid, a, b)) <= 1e-14 * norms
+
+
+def test_inner_builds_no_level_sized_temporary(grid41, rng):
+    a, b = rand_tensor(grid41, 4, rng), rand_tensor(grid41, 4, rng)
+    tracemalloc.start()
+    try:
+        _weighted_inner(grid41, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * a.nbytes, peak
 
 
 def test_vector_norm_consistency(shg, grid7, rng):
