@@ -96,7 +96,9 @@ SCHEMA = {
     "grid": {
         "theta_max": (POSITIVE, 6.0),
         "count": (_integer(3, odd=True), 41),
-        "n_max": (_integer(1, most=N_HARD_CAP), 3),
+        # verify-algebra probes the exchange relations on two levels and
+        # draws Psi one level above n_max, under the rank cap
+        "n_max": (_integer(2, most=N_HARD_CAP - 1), 3),
     },
     "locality": {
         "grid_count": (_integer(3, odd=True), 81),

@@ -18,13 +18,17 @@ every slot: it skips only terms that are exactly zero, so each entry sees
 the dense insertion's operations in the same order.  The symmetrizer and
 (z^dag x z) pass whole slots.  The symmetrizer factors over the cosets of
 S_{n-1} (Okounkov & Vershik, Selecta Math. 2 (1996) 581) as
-P_n = (1/n) I_0 (1 x P_{n-1}): n(n-1)/2 twisted swaps instead of n!
-permutations.  On a twisted-symmetric Phi_{n-1} the creator is
-n^{-1/2} I_0 (psi x Phi_{n-1}).
+P_n = (1/n) I_0 (1 x P_{n-1}) = (1/n!) I_0 I_1 ... I_{n-2}: n(n-1)/2
+twisted swaps instead of n! permutations.  On a twisted-symmetric
+Phi_{n-1} the creator is I_0 ((n^{-1/2} psi) x Phi_{n-1}).  Each scalar
+goes on the smallest operand, never on a finished level: the creator
+scales psi's span before the product, and the symmetrizer scales its
+tensor by 1/n! once, before the insertions.
 
 The inner product and the annihilator sum over the nodes in a fixed order
 without BLAS, which would split its sums by thread and so make the
-rounding depend on the thread count.
+rounding depend on the thread count.  The inner product forms conj(a) * b
+over groups of first-axis slabs, never a whole level.
 
 Vectors own their arrays: the constructors freeze what they are given, so
 read-only arrays are shared between vectors and never copied to protect them.
@@ -41,6 +45,7 @@ from .sfunction import node_matrix
 N_HARD_CAP = 6
 MAX_TENSOR_ELEMENTS = 2 ** 25  # dense rank-n tensors; ~0.5 GiB of complex128
 SUPPORT_TOL = 1e-10  # amplitude a boost may push off-grid, relative to the norm
+INNER_GROUP = 2 ** 14  # elements of conj(a) * b formed at once by the inner product
 
 
 @dataclass(frozen=True)
@@ -178,28 +183,27 @@ class FockVector:
 def _weighted_inner(grid, a, b):
     """<a, b> with the n-fold product of trapezoid weights.
 
-    From rank 3 the product is formed one first-axis slab at a time, so no
-    level-sized temporary is built.  Every contraction is an einsum without
-    ``optimize``, which never calls BLAS: the sum runs in one fixed order at
-    any thread count.
+    conj(a) * b is formed over groups of consecutive first-axis slabs, up
+    to ``INNER_GROUP`` elements (at least one slab) at a time, so no
+    level-sized temporary is built.  Each group is contracted against the
+    weights down to one sum per slab, last axis first, and the slab sums
+    are summed in node order.  Every contraction is an einsum without
+    ``optimize``, which never calls BLAS: the sum runs in one fixed order
+    at any thread count, and at any group size.
     """
+    if a.ndim == 0:
+        return complex(np.conj(a) * b)
     w = grid.weights
-    if a.ndim < 3:
-        return complex(_fold(np.conj(a) * b, w))
-    slab = np.empty(a.shape[1:], dtype=complex)
-    sums = np.empty(a.shape[0], dtype=complex)
-    for i in range(a.shape[0]):
-        np.conjugate(a[i], out=slab)
-        slab *= b[i]
-        sums[i] = _fold(slab, w)
+    count = a.shape[0]
+    step = max(1, INNER_GROUP // a[0].size)
+    sums = np.empty(count, dtype=complex)
+    for i in range(0, count, step):
+        g = np.conj(a[i:i + step])
+        g *= b[i:i + step]
+        for _ in range(a.ndim - 1):
+            g = np.einsum("...j,j->...", g, w)
+        sums[i:i + step] = g
     return complex(np.einsum("i,i->", sums, w))
-
-
-def _fold(t, w):
-    """Contract every axis of ``t`` against ``w``, the last axis first."""
-    for _ in range(t.ndim):
-        t = np.einsum("...j,j->...", t, w)
-    return t
 
 
 def _check_tensor_budget(count, n):
@@ -315,11 +319,13 @@ def symmetrize(S, psi_n, grid):
 
 
 def _project(M, t):
-    """P_n = (1/n) I_0 (1 x P_{n-1}) on ``t`` in place, innermost slots first."""
+    """P_n = (1/n!) I_0 I_1 ... I_{n-2} on ``t`` in place: ``t`` is scaled
+    once, then the insertions run innermost slot first."""
     n = t.ndim
+    if n > 1:
+        t /= math.factorial(n)
     for a in range(n - 2, -1, -1):
         _insert(M, t, a)
-        t /= n - a
     return t
 
 
@@ -352,10 +358,11 @@ def create(S, psi, Phi):
 
         n^{-1/2} sum_k prod_{j<k} S2(t_k - t_j) psi(t_k) Phi_{n-1}(... t_k hat ...)
 
-    = n^{-1/2} I_0 (psi (x) Phi_{n-1}) = sqrt(n) P_n (psi (x) Phi_{n-1}) for
-    twisted-symmetric Phi.  The insertion runs over psi's nonzero span in
-    the travelling slot and Phi_{n-1}'s support box in the others, so it
-    skips only terms that are exactly zero.
+    = I_0 ((n^{-1/2} psi) (x) Phi_{n-1}) = sqrt(n) P_n (psi (x) Phi_{n-1})
+    for twisted-symmetric Phi.  The scalar goes on psi's span, the smallest
+    operand.  The insertion runs over that span in the travelling slot and
+    Phi_{n-1}'s support box in the others, so it skips only terms that are
+    exactly zero, and the level is written only in the blocks it reaches.
     """
     grid = Phi.grid
     if psi.grid != grid:
@@ -371,11 +378,10 @@ def create(S, psi, Phi):
         out = np.zeros((grid.count,) * n, dtype=complex)
         # lower level first: the operand order fixes the last bits
         np.multiply(c[(None,) + slots[1:]],
-                    psi.values[span].reshape((-1,) + (1,) * (n - 1)),
+                    (psi.values[span] / math.sqrt(n)).reshape(
+                        (-1,) + (1,) * (n - 1)),
                     out=out[slots])
-        _insert(M, out, 0, span, box)
-        out /= math.sqrt(n)
-        comps.append(out)
+        comps.append(_insert(M, out, 0, span, box))
     return FockVector(grid, comps)
 
 

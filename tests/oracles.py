@@ -3,8 +3,10 @@
 Each one builds its object literally from the definition (sums over all
 n! permutations, explicit tensor products, every term of a series), so it
 shares no kernel with the code under test.  The dense inner product forms
-the whole product of two levels and contracts it through BLAS.  The dense
-creator is the insertion itself on whole tensors, move by move: what it
+the whole product of two levels and contracts it through BLAS.  The
+slab-wise inner product is the same einsum chain as the library's, one
+slab at a time: what it checks is that grouping slabs moves no bit.  The
+dense creator is the insertion itself on whole tensors, move by move: what it
 checks is that the creator's support blocks leave out only exact zeros.
 The dense Nystrom spectrum shares only the matrix assembly: what it
 checks is the real, row-trimmed reduction that ``singular_values``
@@ -46,6 +48,25 @@ def weighted_inner_dense(grid, a, b):
     return complex(t)
 
 
+def weighted_inner_slabs(grid, a, b):
+    """<a, b> through the library's einsum chain, one first-axis slab at a
+    time: ranks 0-2 fold the whole product conj(a) * b, last axis first;
+    from rank 3 each slab is folded on its own and the slab sums are summed
+    in node order.  No contraction calls BLAS, so the library's grouped
+    slabs must match this bit for bit."""
+    w = grid.weights
+
+    def fold(t):
+        for _ in range(t.ndim):
+            t = np.einsum("...j,j->...", t, w)
+        return t
+
+    if a.ndim < 3:
+        return complex(fold(np.conj(a) * b))
+    sums = np.array([fold(np.conj(a[i]) * b[i]) for i in range(a.shape[0])])
+    return complex(np.einsum("i,i->", sums, w))
+
+
 def create_via_projection(S, psi, Phi):
     """Creator as sqrt(n) P_n (psi (x) Phi_{n-1})."""
     grid = Phi.grid
@@ -58,19 +79,20 @@ def create_via_projection(S, psi, Phi):
 
 
 def create_dense(S, psi, Phi):
-    """Creator n^{-1/2} I_0 (psi (x) Phi_{n-1}) with every slot over the
+    """Creator I_0 ((n^{-1/2} psi) (x) Phi_{n-1}) with every slot over the
     whole grid: psi's slot moved to each slot k, one twisted adjacent swap
     at a time, and the moves summed in order."""
     grid = Phi.grid
     MT = node_matrix(S, grid).T
     comps = [np.zeros((), dtype=complex)]
     for n in range(1, Phi.n_max + 2):
-        out = Phi.component(n - 1)[None] * psi.values.reshape((-1,) + (1,) * (n - 1))
+        scaled = psi.values / math.sqrt(n)
+        out = Phi.component(n - 1)[None] * scaled.reshape((-1,) + (1,) * (n - 1))
         term = out
         for k in range(n - 1):
             term = np.swapaxes(term, k, k + 1) * _on_axes(MT, n, k, k + 1)
             out += term
-        comps.append(out / math.sqrt(n))
+        comps.append(out)
     return FockVector(grid, comps)
 
 

@@ -108,6 +108,10 @@ def test_line_anchored_errors(tmp_path):
                        ("smatrix", "n_values = 7"),
                        ("algebra", "grid_count = 20"),
                        ("algebra", "dn_max = 1"),
+                       # two levels for the exchange relations, and Psi
+                       # one level above n_max within the rank cap
+                       ("grid", "n_max = 1"),
+                       ("grid", "n_max = 6"),
                        ("partition", "beta_min = -1"),
                        ("locality", "grid_count = 1"),
                        # a curve of several steps over an empty range
@@ -445,6 +449,16 @@ def test_cli_override_errors_exit2(tmp_path, capsys):
         assert code == 2, item
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert f"--tol-override {item}" in err["message"], err
+    assert not (tmp_path / "out").exists()
+    # an n_max that no verify-algebra run can use fails as it loads
+    for item, got in (("grid.n_max=1", "'1'"), ("grid.n_max=6", "'6'")):
+        code = main(["verify-algebra", "--config", "catalogue:shg-b050",
+                     "--out", str(tmp_path / "out"), "--tol-override", item])
+        assert code == 2, item
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["message"].endswith(
+            f"--tol-override {item}: grid.n_max must be an integer "
+            f"in 2..5, got {got}"), err
     assert not (tmp_path / "out").exists()
     # an override error names the override and the config as given
     code = main(["nuclearity-curve", "--config", "catalogue:shg-b050",

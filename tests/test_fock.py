@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose
 
 import wedgeqft as wq
 from oracles import (create_dense, create_via_projection,
-                     symmetrize_by_permutations, weighted_inner_dense)
+                     symmetrize_by_permutations, weighted_inner_dense,
+                     weighted_inner_slabs)
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
-from wedgeqft.fock import (FockVector, dn_law_residuals, _complex_normal,
-                           _on_axes, _weighted_inner)
+from wedgeqft.fock import (INNER_GROUP, FockVector, dn_law_residuals,
+                           _complex_normal, _on_axes, _weighted_inner)
 from wedgeqft.sfunction import evaluate
 
 HALF_PI = math.pi / 2
@@ -487,7 +488,7 @@ def test_modular_boost(shg, grid21, rng):
 @example(4, 20, 0, 0)     # rank 4 on 41 nodes
 @example(3, 20, 21, 0)    # every node zeroed
 def test_inner_matches_dense_product(n, half, margin, seed):
-    # the slab-wise, BLAS-free inner product against the whole product
+    # the grouped, BLAS-free inner product against the whole product
     # contracted through BLAS, with random_fock's zeroed shells on a
     grid = wq.RapidityGrid(6.0, 2 * half + 1)
     rng = np.random.default_rng(seed)
@@ -499,6 +500,31 @@ def test_inner_matches_dense_product(n, half, margin, seed):
     assert abs(got - weighted_inner_dense(grid, a, b)) <= 1e-14 * norms
 
 
+# the largest half-count per rank that keeps a level within 2^20 entries
+INNER_HALF_CAP = {0: 80, 1: 80, 2: 80, 3: 50, 4: 15}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, INNER_HALF_CAP[n]))),
+       st.integers(0, 81), st.integers(0, 2 ** 32 - 1))
+@example((3, 40), 0, 0)      # rank 3 on 81 nodes: 2 slabs a group
+@example((2, 80), 0, 0)      # rank 2 on 161 nodes: groups of 101 and 60
+@example((4, 15), 3, 0)      # rank 4 on 31 nodes: one slab a group
+@example((3, 20), 21, 0)     # every node zeroed
+def test_inner_groups_move_no_bit(rank_half, margin, seed):
+    # grouping first-axis slabs changes no operation of any entry's sum:
+    # the result equals the one-slab-at-a-time sum bit for bit, with
+    # random_fock's zeroed shells on a
+    n, half = rank_half
+    grid = wq.RapidityGrid(6.0, 2 * half + 1)
+    rng = np.random.default_rng(seed)
+    a = zero_shells(rand_tensor(grid, n, rng), min(margin, half + 1))
+    b = rand_tensor(grid, n, rng)
+    got, want = _weighted_inner(grid, a, b), weighted_inner_slabs(grid, a, b)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
+
+
 def test_inner_builds_no_level_sized_temporary(grid41, rng):
     a, b = rand_tensor(grid41, 4, rng), rand_tensor(grid41, 4, rng)
     tracemalloc.start()
@@ -508,6 +534,21 @@ def test_inner_builds_no_level_sized_temporary(grid41, rng):
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * a.nbytes, peak
+
+
+def test_inner_group_stays_within_its_budget(rng):
+    # rank 3 on 81 nodes: a group spans two 6561-entry slabs, and the
+    # traced peak stays near the group, far below the level's 8.4 MB
+    grid = wq.RapidityGrid(6.0, 81)
+    a, b = rand_tensor(grid, 3, rng), rand_tensor(grid, 3, rng)
+    assert INNER_GROUP // 81 ** 2 == 2
+    tracemalloc.start()
+    try:
+        _weighted_inner(grid, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * INNER_GROUP * a.itemsize, peak
 
 
 def test_vector_norm_consistency(shg, grid7, rng):
