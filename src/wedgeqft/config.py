@@ -114,15 +114,18 @@ SCHEMA = {
     "algebra": {
         "tol": (NUMBER, 1e-12),
         "trials": (COUNT, 5),
-        # the D_n laws start at n = 2
-        "dn_max": (_integer(2), 3),
+        # the D_n laws start at n = 2 and end at the rank cap
+        "dn_max": (_integer(2, most=N_HARD_CAP), 3),
         "grid_count": (_integer(3, odd=True), 21),
     },
     "smatrix": {
         "trials": (COUNT, 5),
-        "n_values": (_Parser(f"integers in 1..{N_HARD_CAP}",
+        # n separated blocks of 4+ nodes need 4n nodes, and at n = 6 the
+        # dense rank-6 budget holds at most 17
+        "n_values": (_Parser(f"non-empty integers in 1..{N_HARD_CAP - 1}",
                              lambda t: tuple(map(int, _split(t))),
-                             lambda v: all(1 <= n <= N_HARD_CAP for n in v)),
+                             lambda v: bool(v) and all(
+                                 1 <= n < N_HARD_CAP for n in v)),
                      (2, 3)),
         "tol": (NUMBER, 1e-10),
     },

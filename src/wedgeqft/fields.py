@@ -270,11 +270,6 @@ def sample_mass_shell(f, grid, mass):
                  for sign in (+1, -1))
 
 
-def _star_pair(pair):
-    """f*'s pair from f's: (f*)^{+-} = conj f^{+-} at real rapidity."""
-    return tuple(WaveFunction1(psi.grid, np.conj(psi.values)) for psi in pair)
-
-
 def field_phi(S, pair, Phi):
     """Left-wedge field: create f^+, annihilate f^- of a sampled pair.
 
@@ -286,7 +281,8 @@ def field_phi(S, pair, Phi):
 
 def field_phi_prime(S, pair, Phi):
     """Right-wedge partner J phi(f*) J of f's own sampled pair."""
-    return reflect_j(field_phi(S, _star_pair(pair), reflect_j(Phi)))
+    return reflect_j(field_phi(S, tuple(psi.conj() for psi in pair),
+                               reflect_j(Phi)))
 
 
 def field_norm_scale(pair):

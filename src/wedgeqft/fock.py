@@ -7,15 +7,17 @@ action, reflections) act level by level on those tensors.  The grid delta
 is represented as delta_ij / w_i, which makes the exchange-algebra
 identities close exactly at grid level instead of up to quadrature error.
 
-One kernel, :func:`_insert`, carries the twisted insertion behind the
-creator, the symmetrizer and (z^dag x z): I_a sums the moves of slot a to
-each slot k >= a, every move one twisted adjacent swap past the last.  It
-consumes its tensor argument and accumulates the sum into it.  It reads
-only the block where slot a runs over a given span and each later slot
-over a given box, and adds each move into that move's block.  The creator
-passes psi's nonzero span and the support box of Phi_{n-1}, the hull over
-every slot: it skips only terms that are exactly zero, so each entry sees
-the dense insertion's operations in the same order.  The symmetrizer and
+One step, :func:`_swap`, the twisted adjacent swap, is behind
+:func:`apply_dn` (a reduced word of swaps), the creator, the symmetrizer
+and (z^dag x z), so the D_n laws are checked on the creator's own step.
+The insertion I_a (:func:`_insert`) sums the moves of slot a to each slot
+k >= a, every move one swap past the last.  It consumes its tensor
+argument and accumulates the sum into it.  It reads only the block where
+slot a runs over a given span and each later slot over a given box, and
+adds each move into that move's block.  The creator passes psi's nonzero
+span and the support box of Phi_{n-1}, the hull over every slot: it skips
+only terms that are exactly zero, so each entry sees the dense
+insertion's operations in the same order.  The symmetrizer and
 (z^dag x z) pass whole slots.  The symmetrizer factors over the cosets of
 S_{n-1} (Okounkov & Vershik, Selecta Math. 2 (1996) 581) as
 P_n = (1/n) I_0 (1 x P_{n-1}) = (1/n!) I_0 I_1 ... I_{n-2}: n(n-1)/2
@@ -25,10 +27,12 @@ goes on the smallest operand, never on a finished level: the creator
 scales psi's span before the product, and the symmetrizer scales its
 tensor by 1/n! once, before the insertions.
 
-The inner product and the annihilator sum over the nodes in a fixed order
-without BLAS, which would split its sums by thread and so make the
-rounding depend on the thread count.  The inner product forms conj(a) * b
-over groups of first-axis slabs, never a whole level.
+One inner product, :func:`_weighted_inner`, serves every rank: the
+one-particle vectors, each level of a Fock vector and every norm.  It and
+the annihilator sum over the nodes in a fixed order without BLAS, which
+would split its sums by thread and so make the rounding depend on the
+thread count.  The inner product forms conj(a) * b over groups of
+first-axis slabs, never a whole level.
 
 Vectors own their arrays: the constructors freeze what they are given, so
 read-only arrays are shared between vectors and never copied to protect them.
@@ -96,13 +100,13 @@ class WaveFunction1:
         object.__setattr__(self, "values", v)
 
     def norm(self):
-        return math.sqrt(float(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
+        return math.sqrt(self.inner(self).real)
 
     def inner(self, other):
         """<self, other> = sum w * conj(self) * other."""
         if other.grid != self.grid:
             raise GridError("grid mismatch in inner product")
-        return complex(np.sum(self.grid.weights * np.conj(self.values) * other.values))
+        return _weighted_inner(self.grid, self.values, other.values)
 
     def conj(self):
         return WaveFunction1(self.grid, np.conj(self.values))
@@ -143,10 +147,7 @@ class FockVector:
         return np.zeros((self.grid.count,) * n, dtype=complex)
 
     def norm_sq(self):
-        total = 0.0
-        for n, c in enumerate(self.components):
-            total += float(np.real(_weighted_inner(self.grid, c, c)))
-        return total
+        return self.inner(self).real
 
     def norm(self):
         return math.sqrt(self.norm_sq())
@@ -231,25 +232,24 @@ def _on_axes(a, n, *axes):
 def apply_dn(S, perm, psi_n, grid):
     """Twisted permutation action on a rank-n tensor.
 
-    ``perm`` is a 0-based permutation tuple: output slot k reads input slot
-    ``perm[k]``.  The result is the permuted tensor times the product of
-    S2 factors over the inversions of ``perm``, evaluated nodewise.
+    ``perm`` is a 0-based permutation tuple: input slot k moves to output
+    slot ``perm[k]``, out[i] = psi[i_perm[0], ..., i_perm[n-1]], times the
+    product of S2 factors over the inversions of ``perm``, evaluated
+    nodewise.  A copy of ``psi_n`` is bubble-sorted by ``perm`` with
+    :func:`_swap`, a reduced word that crosses each inversion once.
     """
-    psi_n = np.asarray(psi_n, dtype=complex)
-    n = psi_n.ndim
+    n = np.ndim(psi_n)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of range({n})")
-    M = node_matrix(S, grid)
-    # np.transpose applies the inverse permutation to the index tuple, so
-    # pass argsort(perm) to realize out[i] = psi[i_perm[0], ..., i_perm[n-1]]
-    inv = np.argsort(perm)
-    out = np.transpose(psi_n, axes=inv).copy()
-    for l in range(n):
-        for k in range(l + 1, n):
-            if perm[l] > perm[k]:
-                # S2(t_perm[l] - t_perm[k]) on the two slots
-                out *= _on_axes(M.T, n, perm[k], perm[l])
-    return out
+    MT = node_matrix(S, grid).T
+    out = np.array(psi_n, dtype=complex)
+    word = list(perm)       # the output slot of each slot's contents
+    for stop in range(n - 1, 0, -1):
+        for k in range(stop):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                out = _swap(MT, out, k)
+    return np.ascontiguousarray(out)
 
 
 _ALL = slice(None)
@@ -266,48 +266,41 @@ def _support(c):
     return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
+def _swap(MT, x, k):
+    """``x`` with slots k and k + 1 swapped, multiplied in place by
+    S2(t_{k+1} - t_k) of their nodes: the one twisted adjacent swap.
+    ``MT`` holds the S2 factors with the nodes of slot k after the swap as
+    rows and those of slot k + 1 as columns.  ``x`` is consumed and the
+    result is a view of it."""
+    x = np.swapaxes(x, k, k + 1)
+    factor = _on_axes(MT, x.ndim, k, k + 1)
+    if x.size > 1:
+        x *= factor
+        return x
+    # in place, numpy would multiply a single entry on its reduction loop,
+    # which rounds complex products differently
+    return x * factor
+
+
 def _insert(M, t, a=0, span=_ALL, box=_ALL):
     """Sum over k >= a of slot a of ``t`` moved to slot k, with the twist.
 
-    Moving the slot one place right swaps it past its neighbour and
-    multiplies by S2(t_{k+1} - t_k) of the two nodes.  ``t`` must vanish
-    outside its block where slot a runs over ``span`` and each later slot
-    over ``box``; only that block is read, and each move is added into
-    its own block.  ``t`` is consumed: the sum is accumulated into it and
-    returned.
+    Moving the slot one place right is one :func:`_swap` past its
+    neighbour.  ``t`` must vanish outside its block where slot a runs over
+    ``span`` and each later slot over ``box``; only that block is read,
+    and each move is added into its own block.  ``t`` is consumed: the sum
+    is accumulated into it and returned.
     """
     n = t.ndim
-    if a >= n - 1:
-        return t
     MT = M.T[box, span]
     slots = [_ALL] * a + [span] + [box] * (n - 1 - a)
-    term = np.swapaxes(t[tuple(slots)], a, a + 1) * _on_axes(MT, n, a, a + 1)
-    slots[a], slots[a + 1] = slots[a + 1], slots[a]
-    block = t[tuple(slots)]
-    block += term
-    _move_on(MT, t, term, slots, a + 1, n - 1)
-    return t
-
-
-def _move_on(MT, acc, term, slots, start, stop):
-    """Move the travelling slot of ``term`` from slot ``start`` on to each
-    slot up to ``stop``, one twisted adjacent swap at a time, and add every
-    move into its block of ``acc``.  ``term`` is the block of ``acc`` that
-    ``slots`` index; ``MT`` holds the S2 factors with the neighbour's nodes
-    as rows and the travelling slot's as columns.  ``term`` and ``slots``
-    are consumed."""
-    n = term.ndim
-    for k in range(start, stop):
-        term = np.swapaxes(term, k, k + 1)
-        if term.size > 1:
-            term *= _on_axes(MT, n, k, k + 1)
-        else:
-            # in place, numpy would multiply a single entry on its
-            # reduction loop, which rounds complex products differently
-            term = term * _on_axes(MT, n, k, k + 1)
+    term = t[tuple(slots)].copy()   # the moves read the block as it was
+    for k in range(a, n - 1):
+        term = _swap(MT, term, k)
         slots[k], slots[k + 1] = slots[k + 1], slots[k]
-        block = acc[tuple(slots)]
+        block = t[tuple(slots)]
         block += term
+    return t
 
 
 def symmetrize(S, psi_n, grid):

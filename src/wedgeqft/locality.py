@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from .errors import TailError, WedgeQFTError
-from .fields import (_star_pair, field_norm_scale, field_phi, field_phi_prime,
-                     in_wedge, mass_shell, sample_mass_shell)
+from .fields import (field_norm_scale, field_phi, field_phi_prime, in_wedge,
+                     mass_shell, sample_mass_shell)
 from .fock import FockVector, annihilate, create, reflect_j
 from .quadrature import gauss_legendre
 from .sfunction import evaluate
@@ -195,7 +195,7 @@ def verify_operator_commutator(S, f, g, Phi, check_support=True):
     g_pair = sample_mass_shell(g, Phi.grid, S.mass)
     jx = reflect_j(field_phi(S, g_pair, Phi))
     y = field_phi_prime(S, f_pair, Phi)
-    lhs = reflect_j(_field_below_top(S, *_star_pair(f_pair), jx))
+    lhs = reflect_j(_field_below_top(S, *(psi.conj() for psi in f_pair), jx))
     rhs = _field_below_top(S, *g_pair, y)
     resid = lhs.sub(rhs).norm() / max(Phi.norm(), 1e-300)
     scale = field_norm_scale(f_pair) * field_norm_scale(g_pair)

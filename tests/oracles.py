@@ -2,12 +2,15 @@
 
 Each one builds its object literally from the definition (sums over all
 n! permutations, explicit tensor products, every term of a series), so it
-shares no kernel with the code under test.  The dense inner product forms
-the whole product of two levels and contracts it through BLAS.  The
-slab-wise inner product is the same einsum chain as the library's, one
-slab at a time: what it checks is that grouping slabs moves no bit.  The
-dense creator is the insertion itself on whole tensors, move by move: what it
-checks is that the creator's support blocks leave out only exact zeros.
+shares no kernel with the code under test.  The twisted permutation
+action transposes the whole tensor and multiplies one S2 factor per
+inversion, where the library takes one twisted adjacent swap at a time.
+The dense inner product forms the whole product of two levels and
+contracts it through BLAS.  The slab-wise inner product is the same
+einsum chain as the library's, one slab at a time: what it checks is that
+grouping slabs moves no bit.  The dense creator is the insertion itself
+on whole tensors, move by move: what it checks is that the creator's
+support blocks leave out only exact zeros.
 The dense Nystrom spectrum shares only the matrix assembly: what it
 checks is the real, row-trimmed reduction that ``singular_values``
 applies to that matrix.  The strip sup norm reference shares only
@@ -29,13 +32,30 @@ from wedgeqft.nuclearity import _nystrom_matrix
 from wedgeqft.sfunction import node_matrix
 
 
+def apply_dn_by_inversions(S, perm, psi_n, grid):
+    """The twisted action of ``perm`` as one transpose of the whole tensor
+    times the S2 factor of every inversion of ``perm``, one at a time."""
+    psi_n = np.asarray(psi_n, dtype=complex)
+    n = psi_n.ndim
+    M = node_matrix(S, grid)
+    # np.transpose applies the inverse permutation to the index tuple, so
+    # pass argsort(perm) to realize out[i] = psi[i_perm[0], ..., i_perm[n-1]]
+    out = np.transpose(psi_n, axes=np.argsort(perm)).copy()
+    for l in range(n):
+        for k in range(l + 1, n):
+            if perm[l] > perm[k]:
+                # S2(t_perm[l] - t_perm[k]) on the two slots
+                out *= _on_axes(M.T, n, perm[k], perm[l])
+    return out
+
+
 def symmetrize_by_permutations(S, psi_n, grid):
     """P_n as the mean of the twisted action over all n! permutations."""
     psi_n = np.asarray(psi_n, dtype=complex)
     n = psi_n.ndim
     acc = np.zeros_like(psi_n)
     for perm in permutations(range(n)):
-        acc += wq.apply_dn(S, perm, psi_n, grid)
+        acc += apply_dn_by_inversions(S, perm, psi_n, grid)
     return acc / math.factorial(n)
 
 

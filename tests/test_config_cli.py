@@ -106,8 +106,13 @@ def test_line_anchored_errors(tmp_path):
                        ("smatrix", "n_values = 0"),
                        ("smatrix", "n_values = 2, 2.5"),
                        ("smatrix", "n_values = 7"),
+                       # no sample at all, and a rank whose separated
+                       # blocks no grid within the dense budget holds
+                       ("smatrix", "n_values ="),
+                       ("smatrix", "n_values = 6"),
                        ("algebra", "grid_count = 20"),
                        ("algebra", "dn_max = 1"),
+                       ("algebra", "dn_max = 7"),
                        # two levels for the exchange relations, and Psi
                        # one level above n_max within the rank cap
                        ("grid", "n_max = 1"),
@@ -140,10 +145,10 @@ def test_line_anchored_errors(tmp_path):
     assert err.value.line == 6
     # the smallest accepted values; a one-step curve may have an empty range
     p = write(tmp_path, "[model]\nepsilon = -1\n[locality]\norder = 8\n"
-                        "grid_count = 3\n[smatrix]\nn_values = 1, 6\n"
+                        "grid_count = 3\n[smatrix]\nn_values = 1, 5\n"
                         "[partition]\nbeta_min = 0.5\nbeta_max = 0.5\n"
                         "steps = 1\n", "ok.cfg")
-    assert load_config(str(p)).smatrix.n_values == (1, 6)
+    assert load_config(str(p)).smatrix.n_values == (1, 5)
 
 
 def test_kappa_checked_against_the_model(tmp_path):
@@ -459,6 +464,19 @@ def test_cli_override_errors_exit2(tmp_path, capsys):
         assert err["message"].endswith(
             f"--tol-override {item}: grid.n_max must be an integer "
             f"in 2..5, got {got}"), err
+    # count settings that would pass on no sample or could never run
+    for item, got in (("smatrix.n_values=", "''"),
+                      ("smatrix.n_values=6", "'6'"),
+                      ("algebra.dn_max=7", "'7'")):
+        what = ("must be non-empty integers in 1..5" if "n_values" in item
+                else "must be an integer in 2..6")
+        code = main(["all", "--config", "catalogue:shg-b050",
+                     "--out", str(tmp_path / "out"), "--tol-override", item])
+        assert code == 2, item
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["message"].endswith(
+            f"--tol-override {item}: {item.split('=')[0]} {what}, "
+            f"got {got}"), err
     assert not (tmp_path / "out").exists()
     # an override error names the override and the config as given
     code = main(["nuclearity-curve", "--config", "catalogue:shg-b050",
@@ -656,8 +674,8 @@ def test_scattering_verdict_covers_the_origin(monkeypatch):
 
 def test_creators_commute_row_catches_an_untwisted_creator(monkeypatch):
     # the row is the run-time check of the creator-only level that the
-    # operator-level locality check leaves out; a creator whose moves past
-    # slot 1 lose their S2 factor must push it over tol and fail the suite
+    # operator-level locality check leaves out; a twisted swap that loses
+    # its S2 factor past slot 1 must push it over tol and fail the suite
     from wedgeqft import fock, suites
     cfg = load_config("catalogue:shg-b050")
 
@@ -668,16 +686,16 @@ def test_creators_commute_row_catches_an_untwisted_creator(monkeypatch):
     res, rows = residuals()
     assert res.passed and rows["creators_commute"] <= cfg.algebra.tol
 
-    def untwisted(MT, acc, term, slots, start, stop):
-        for k in range(start, stop):
-            term = np.swapaxes(term, k, k + 1)
-            slots[k], slots[k + 1] = slots[k + 1], slots[k]
-            block = acc[tuple(slots)]
-            block += term
+    swap = fock._swap
 
-    monkeypatch.setattr(fock, "_move_on", untwisted)
+    def untwisted(MT, x, k):
+        return swap(MT, x, k) if k < 1 else np.swapaxes(x, k, k + 1)
+
+    monkeypatch.setattr(fock, "_swap", untwisted)
     res, rows = residuals()
     assert rows["creators_commute"] > cfg.algebra.tol
+    # apply_dn takes the creator's swap, so the D_n rows see it too
+    assert rows["dn3_braid"] > cfg.algebra.tol
     assert res.passed is False
 
 

@@ -8,13 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wedgeqft as wq
-from oracles import (create_dense, create_via_projection,
-                     symmetrize_by_permutations, weighted_inner_dense,
-                     weighted_inner_slabs)
+from oracles import (apply_dn_by_inversions, create_dense,
+                     create_via_projection, symmetrize_by_permutations,
+                     weighted_inner_dense, weighted_inner_slabs)
 from wedgeqft.errors import (GridError, SupportOverflowError,
                              TruncationCapError)
 from wedgeqft.fock import (INNER_GROUP, FockVector, dn_law_residuals,
-                           _complex_normal, _on_axes, _weighted_inner)
+                           _adjacent_swap, _complex_normal, _on_axes,
+                           _weighted_inner)
 from wedgeqft.sfunction import evaluate
 
 HALF_PI = math.pi / 2
@@ -147,6 +148,32 @@ def test_dn_laws_sampled_only_where_they_apply(shg, rng):
     res = dn_law_residuals(shg, grid, 4, 2, rng)
     assert set(res) == common | {"braid", "commuting"}
     assert max(res.values()) <= 1e-12, res
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((+1, -1)),
+       st.lists(st.tuples(st.floats(-3, 3), st.floats(0.05, HALF_PI)),
+                max_size=2),
+       st.integers(1, 4), st.sampled_from((3, 5, 7, 9)),
+       st.integers(0, 2 ** 32 - 1))
+def test_apply_dn_matches_the_inversion_product(eps, zeros, n, count, seed):
+    # the reduced word of twisted swaps against one transpose times every
+    # inversion's factor: one swap is one multiplication by the same
+    # factor, so an adjacent transposition matches bit for bit, and a
+    # longer word multiplies the same factors in another order
+    S = wq.build_model(eps, zeros=[complex(re, im) for re, im in zeros])
+    grid = wq.RapidityGrid(6.0, count)
+    f = rand_tensor(grid, n, np.random.default_rng(seed))
+    kept = f.copy()
+    adjacent = {_adjacent_swap(n, k) for k in range(n - 1)}
+    for perm in itertools.permutations(range(n)):
+        got = wq.apply_dn(S, perm, f, grid)
+        want = apply_dn_by_inversions(S, perm, f, grid)
+        assert got.flags.c_contiguous and not np.shares_memory(got, f)
+        if perm in adjacent:
+            assert got.tobytes() == want.tobytes(), perm
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    np.testing.assert_array_equal(f, kept)
 
 
 def test_apply_dn_rank_mismatch(shg, grid7, rng):
