@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from .errors import ConfigError, ModelError
 from .fields import ORDER_CAP, Bump2D
-from .fock import N_HARD_CAP, RapidityGrid
+from .fock import MAX_TENSOR_ELEMENTS, N_HARD_CAP, RapidityGrid
 from .locality import ORDER_DEFAULT, WINDOW_DEFAULT
 from .nuclearity import MAX_NODES, NODES_DEFAULT
 from .sfunction import ScatteringFunction, build_model, kappa
@@ -275,17 +275,42 @@ def load_config(path, overrides=()):
             values = _parse(path, section, SCHEMA["testfunction"], entries)
             testfunctions[section.partition(".")[2]] = Bump2D(
                 values["box"], values["amplitude"])
-    # a curve of more than one step needs a non-empty range; the error
-    # names the entry applied last: the command line, else the last line
+    def applied_last(*names):
+        """The given entry among the ``section.key`` ``names`` applied
+        last: the command line (the first named there), else the last line."""
+        given = filter(None, (raw.get(section, {}).get(key) for section, key
+                              in (name.split(".") for name in names)))
+        return max(given, key=lambda e: (e.source is not None, e.line or 0))
+
+    # checks across entries, each naming the entry applied last.  A curve
+    # of more than one step needs a non-empty range.
     for name, lo, hi in (("nuclearity", "s_min", "s_max"),
                          ("partition", "beta_min", "beta_max")):
-        values, given = settings[name], raw.get(name, {})
+        values = settings[name]
         if values["steps"] > 1 and values[lo] >= values[hi]:
-            last = max(filter(None, map(given.get, (lo, hi, "steps"))),
-                       key=lambda e: (e.source is not None, e.line or 0))
+            last = applied_last(f"{name}.{lo}", f"{name}.{hi}", f"{name}.steps")
             raise _error(path, last, f"{name}.{lo} must be below {name}.{hi} "
                          f"when {name}.steps > 1, got {values[lo]} and "
                          f"{values[hi]}")
+    # smatrix lays n packets on separated blocks of 4+ nodes of the grid,
+    # and verify-algebra draws tensors up to rank max(dn_max, n_max + 1);
+    # every tensor must fit the dense budget
+    count = settings["grid"]["count"]
+    for n in settings["smatrix"]["n_values"]:
+        if 4 * n > count or count ** n > MAX_TENSOR_ELEMENTS:
+            raise _error(path, applied_last("smatrix.n_values", "grid.count"),
+                         f"smatrix.n_values holds {n}, which needs "
+                         f"grid.count >= {4 * n} and grid.count^{n} <= "
+                         f"{MAX_TENSOR_ELEMENTS}, got grid.count {count}")
+    algebra = settings["algebra"]
+    rank = max(algebra["dn_max"], settings["grid"]["n_max"] + 1)
+    if algebra["grid_count"] ** rank > MAX_TENSOR_ELEMENTS:
+        raise _error(path, applied_last("algebra.grid_count", "algebra.dn_max",
+                                        "grid.n_max"),
+                     f"algebra.grid_count^{rank} must be at most "
+                     f"{MAX_TENSOR_ELEMENTS} for rank {rank} = max("
+                     f"algebra.dn_max, grid.n_max + 1), got algebra.grid_count "
+                     f"{algebra['grid_count']}")
 
     m, grid = settings["model"], settings["grid"]
     try:

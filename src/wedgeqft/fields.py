@@ -7,12 +7,17 @@ and smooth compactly supported bumps (Fourier transform by
 Gauss-Legendre quadrature over the support box, its order chosen per
 value so each is within 1e-13 of the profile's integral at real momenta;
 genuine support restriction, used wherever wedge membership matters).
+A bump axis sums each distinct momentum of a call once: its cosine sum G
+satisfies G(-k) = G(k) and G(conj k) = conj G(k) exactly, so -k repeats
+the value of k and conj k conjugates it.
 
 Fourier convention: ft(p) = (1/2pi) \\int f(x) e^{i p.x} d^2x with the
 Minkowski pairing p.x = p0 x0 - p1 x1.  The mass-shell restrictions are
 f^{+-}(z) = ft(+-p(z)) with p(z) = mass * (cosh z, sinh z); for compactly
-supported f these are entire in z.  A field takes f's pair (f^+, f^-) on
-its vector's grid; phi'(f) conjugates that pair rather than sample f*.
+supported f these are entire in z.  :func:`mass_shell` computes the pair
+(f^+, f^-) in one transform of the stacked momenta (p, -p), which for a
+bump costs what f^+ alone costs.  A field takes f's pair on its vector's
+grid; phi'(f) conjugates that pair rather than sample f*.
 """
 
 from dataclasses import dataclass, replace
@@ -141,8 +146,8 @@ class Bump2D:
     Supported exactly on the box [a0, b0] x [a1, b1].  The Fourier
     transform factorizes into two one-dimensional quadratures.  Each value
     takes its own order, from ``ORDER_FLOOR`` up with its momentum, so large
-    rapidities do not alias and no value depends on the others requested
-    with it.
+    rapidities do not alias and no value depends, beyond its last bits, on
+    the others requested with it.
     """
 
     box: tuple               # (a0, b0, a1, b1)
@@ -210,12 +215,17 @@ def _bump_profile(u):
 def _bump_transform(p, center, half_width):
     """\\int g((x - center)/half_width) e^{i p x} dx, vectorized over ``p``.
 
-    The profile g is even, so each value is
-    2 half_width e^{i p center} \\int_0^1 g(u) cos(p half_width u) du,
-    summed over the upper half of a Gauss-Legendre rule whose order comes
-    from that value's own |p| half_width.  Real momenta take real
-    arithmetic.  At real p each value is within 1e-13 of
-    \\int g((x - center)/half_width) dx, whatever else is in the batch.
+    The profile g is even, so each value is 2 half_width e^{i p center}
+    G(p half_width) with G(k) = \\int_0^1 g(u) cos(k u) du, summed over the
+    upper half of a Gauss-Legendre rule whose order comes from that value's
+    own |k|.  G is computed once per distinct momentum in the batch and
+    shared through two exact identities of the cosine sum, G(-k) = G(k)
+    and G(conj k) = conj G(k): at real k the key is |k| (real arithmetic),
+    at complex k it is |Re k| + i|Im k|, conjugated back where Re k and
+    Im k have opposite signs.  At real p each value is within 1e-13 of
+    \\int g((x - center)/half_width) dx, whatever else is in the batch;
+    the batch may still move a value's last bits, through the row of the
+    matrix product it lands on.
     """
     p = np.asarray(p, dtype=complex)
     im_max = np.abs(p.imag).max(initial=0.0) * (abs(center) + half_width)
@@ -224,15 +234,22 @@ def _bump_transform(p, center, half_width):
             f"imaginary phase {im_max:.1f} exceeds budget {EXP_BUDGET}")
     k = (p * half_width).ravel()
     if not k.imag.any():
-        k = k.real
-    orders = _auto_order(np.abs(k))
-    folded = np.empty(k.shape, dtype=k.dtype)
+        keys, flip = np.abs(k.real), None
+    else:
+        keys = np.abs(k.real) + 1j * np.abs(k.imag)
+        flip = (k.real < 0) != (k.imag < 0)
+    keys, scatter = np.unique(keys, return_inverse=True)
+    orders = _auto_order(np.abs(keys))
+    folded = np.empty(keys.shape, dtype=keys.dtype)
     for order in set(orders.tolist()):
         u, w = gauss_legendre(order)
         u, w = u[order // 2:], w[order // 2:]
         band = orders == order
-        cosines = np.cos(np.multiply.outer(k[band], u))
+        cosines = np.cos(np.multiply.outer(keys[band], u))
         folded[band] = cosines @ (_bump_profile(u) * w)
+    folded = folded[scatter]
+    if flip is not None:
+        folded[flip] = np.conj(folded[flip])
     return (2 * half_width) * np.exp(1j * p * center) * folded.reshape(p.shape)
 
 
@@ -246,28 +263,35 @@ def in_wedge(box, which):
     return all(sign * x1 > abs(x0) for x0 in (a0, b0) for x1 in (a1, b1))
 
 
-def mass_shell(f, sign, zeta, mass):
-    """f^{+-}(z) = (1/2pi) \\int f(+-x) e^{i p(z).x} d^2x.
+def mass_shell(f, zeta, mass):
+    """The pair (f^+(z), f^-(z)) with f^{+-}(z) = (1/2pi) \\int f(+-x)
+    e^{i p(z).x} d^2x, from one ``f.fourier`` call on the stacked momenta
+    (p(z), -p(z)).
 
     ``mass`` is the model's, ``S.mass``: no default stands in for it.
-    Vectorized over ``zeta``; for bumps each value takes the quadrature
-    order its own momentum needs, and at real rapidity each one-axis factor
-    is within 1e-13 of the profile's integral.
+    Vectorized over ``zeta``.  For bumps each axis's cosine sum G obeys
+    G(-k) = G(k) and G(conj k) = conj G(k) exactly, so f^- and the mirrored
+    nodes of a symmetric line reuse the sums of f^+ (see
+    :func:`_bump_transform`).  Each value takes the quadrature order its
+    own momentum needs, and at real rapidity each one-axis factor is within
+    1e-13 of the profile's integral, whatever else is in the batch.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     z = np.asarray(zeta, dtype=complex)
     p0 = mass * np.cosh(z)
     p1 = mass * np.sinh(z)
-    return f.fourier(sign * p0, sign * p1)
+    signs = (+1, -1)
+    plus, minus = f.fourier(np.multiply.outer(signs, p0),
+                            np.multiply.outer(signs, p1))
+    return plus, minus
 
 
 def sample_mass_shell(f, grid, mass):
-    """The pair (f^+, f^-) at the grid nodes, for the model's mass: every
-    field takes both, f^+ to create and f^- to annihilate."""
+    """The pair (f^+, f^-) at the grid nodes, for the model's mass, as
+    wave functions from one :func:`mass_shell` call, in which f^- shares
+    the cosine sums of f^+: every field takes both, f^+ to create and f^-
+    to annihilate."""
     z = grid.nodes.astype(complex)
-    return tuple(WaveFunction1(grid, mass_shell(f, sign, z, mass=mass))
-                 for sign in (+1, -1))
+    return tuple(WaveFunction1(grid, v) for v in mass_shell(f, z, mass))
 
 
 def field_phi(S, pair, Phi):

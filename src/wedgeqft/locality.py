@@ -13,10 +13,11 @@ P_{n+1}(P_n x 1) = P_{n+1} = P_{n+1}(1 x P_n).  verify-algebra checks that
 identity on every run (its ``creators_commute`` row).
 
 The mass-shell restrictions f^{+-}, g^{+-} on a quadrature line do not
-depend on S2 or on the spectators, so one contour check computes each of
-its six (four on the real line, f^- and g^+ on Im(t) = pi) once and
-shares it across all spectator tuples, whatever their length.  Nothing is
-kept between calls, so no result depends on what ran before.
+depend on S2 or on the spectators, so one contour check computes the
+pairs (f^+, f^-) and (g^+, g^-) once on the real line and once on
+Im(t) = pi, where it reads f^- and g^+, and shares them across all
+spectator tuples, whatever their length.  Nothing is kept between calls,
+so no result depends on what ran before.
 """
 
 from dataclasses import dataclass
@@ -83,16 +84,14 @@ def _require_wedge_separation(f, g):
 def _contour_samples(S, f, g, spectators, window, order):
     """(B, C) per spectator tuple on the real line, with tail checks.
 
-    The tuples may differ in length; the four real-line restrictions are
+    The tuples may differ in length; the real-line pairs of f and g are
     computed once for all of them.
     """
     if not spectators:
         raise ValueError("no spectator tuples: nothing would be checked")
     t, w = _gl_line(window, order)
-    fm_v = mass_shell(f, -1, t, mass=S.mass)
-    gp_v = mass_shell(g, +1, t, mass=S.mass)
-    fp_v = mass_shell(f, +1, t, mass=S.mass)
-    gm_v = mass_shell(g, -1, t, mass=S.mass)
+    fp_v, fm_v = mass_shell(f, t, mass=S.mass)
+    gp_v, gm_v = mass_shell(g, t, mass=S.mass)
     out = []
     for theta in spectators:
         theta = tuple(float(x) for x in theta)
@@ -143,8 +142,9 @@ def verify_contour_identity(S, f, g, spectators, window=WINDOW_DEFAULT,
 
     # shift mechanism: B on Im(t) = pi at the first tuple of each length
     t, w = _gl_line(window, order)
-    fm_v = mass_shell(f, -1, t + 1j * math.pi, mass=S.mass)
-    gp_v = mass_shell(g, +1, t + 1j * math.pi, mass=S.mass)
+    # f^- and g^+ are read; the other member of each pair shares their sums
+    fm_v = mass_shell(f, t + 1j * math.pi, mass=S.mass)[1]
+    gp_v = mass_shell(g, t + 1j * math.pi, mass=S.mass)[0]
     shift_rel = 0.0
     for theta0, B0 in first.values():
         Bs = _line_integral(S, fm_v, gp_v, t, w, theta0, flip=False,

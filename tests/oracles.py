@@ -15,7 +15,10 @@ The dense Nystrom spectrum shares only the matrix assembly: what it
 checks is the real, row-trimmed reduction that ``singular_values``
 applies to that matrix.  The strip sup norm reference shares only
 ``evaluate``: it maximizes by scipy's optimizer, not by the certified
-bisection.
+bisection.  The mass-shell reference evaluates one sign at a time, each
+value of each bump axis from its own cosine sum: it checks that sharing
+sums between p and -p, mirrored nodes and conjugate momenta moves no
+value.
 """
 
 from itertools import permutations
@@ -26,10 +29,35 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import wedgeqft as wq
-from wedgeqft.fields import field_norm_scale, field_phi, sample_mass_shell
+from wedgeqft.fields import (_auto_order, field_norm_scale, field_phi,
+                             sample_mass_shell)
 from wedgeqft.fock import FockVector, _on_axes, reflect_j
 from wedgeqft.nuclearity import _nystrom_matrix
+from wedgeqft.quadrature import gauss_legendre
 from wedgeqft.sfunction import node_matrix
+
+
+def _bump_axis_by_value(p, center, half_width):
+    """One axis of a bump's transform, each value from its own cosine sum
+    over the upper half of the rule its |p| half_width needs."""
+    out = []
+    for pj in np.ravel(np.asarray(p, dtype=complex)):
+        k = pj * half_width
+        order = int(_auto_order(abs(k)))
+        u, w = gauss_legendre(order)
+        u, w = u[order // 2:], w[order // 2:]
+        folded = np.dot(np.cos(k * u), np.exp(-1.0 / (1.0 - u * u)) * w)
+        out.append(2 * half_width * np.exp(1j * pj * center) * folded)
+    return np.array(out, dtype=complex).reshape(np.shape(p))
+
+
+def mass_shell_by_sign(f, sign, zeta, mass):
+    """f^{+-}(zeta) of a ``Bump2D`` for one ``sign``, value by value."""
+    z = np.asarray(zeta, dtype=complex)
+    p0, p1 = sign * mass * np.cosh(z), sign * mass * np.sinh(z)
+    (c0, c1), (h0, h1) = f.center, f.half_width
+    return (f.amplitude * _bump_axis_by_value(p0, c0, h0)
+            * _bump_axis_by_value(-p1, c1, h1) / (2 * math.pi))
 
 
 def apply_dn_by_inversions(S, perm, psi_n, grid):

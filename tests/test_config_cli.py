@@ -117,6 +117,14 @@ def test_line_anchored_errors(tmp_path):
                        # one level above n_max within the rank cap
                        ("grid", "n_max = 1"),
                        ("grid", "n_max = 6"),
+                       # counts the default grids cannot hold: rank 5 on
+                       # 41 nodes, 3 blocks on 11, and rank 6 or rank 4
+                       # beyond the dense budget on the algebra grid
+                       ("smatrix", "n_values = 5"),
+                       ("grid", "count = 11"),
+                       ("algebra", "dn_max = 6"),
+                       ("grid", "n_max = 5"),
+                       ("algebra", "grid_count = 77"),
                        ("partition", "beta_min = -1"),
                        ("locality", "grid_count = 1"),
                        # a curve of several steps over an empty range
@@ -143,12 +151,27 @@ def test_line_anchored_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(p))
     assert err.value.line == 6
-    # the smallest accepted values; a one-step curve may have an empty range
+    # so does a count its grid cannot hold, whichever section comes last
+    for first, second in (("smatrix", "n_values = 4"), ("grid", "count = 13")), \
+            (("grid", "count = 13"), ("smatrix", "n_values = 4")):
+        p = write(tmp_path, "[model]\nepsilon = -1\n[%s]\n%s\n[%s]\n%s\n"
+                  % (*first, *second), "bad9.cfg")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert err.value.line == 6
+        assert "smatrix.n_values holds 4, which needs grid.count >= 16" \
+            in str(err.value)
+    # the smallest accepted values, with n = 5 on the largest grid whose
+    # rank-5 tensors fit the dense budget (31^5 <= 2^25 < 33^5); a
+    # one-step curve may have an empty range
     p = write(tmp_path, "[model]\nepsilon = -1\n[locality]\norder = 8\n"
-                        "grid_count = 3\n[smatrix]\nn_values = 1, 5\n"
+                        "grid_count = 3\n[grid]\ncount = 31\n"
+                        "[smatrix]\nn_values = 1, 5\n"
                         "[partition]\nbeta_min = 0.5\nbeta_max = 0.5\n"
                         "steps = 1\n", "ok.cfg")
     assert load_config(str(p)).smatrix.n_values == (1, 5)
+    with pytest.raises(ConfigError, match="got grid.count 33"):
+        load_config(str(p), overrides=["grid.count=33"])
 
 
 def test_kappa_checked_against_the_model(tmp_path):
@@ -178,9 +201,9 @@ def test_unmatched_zero_rejected_without_mirroring(tmp_path):
 
 def test_overrides(tmp_path):
     p = write(tmp_path, MINIMAL.format(imag=math.pi / 2))
-    cfg = load_config(str(p), overrides=["algebra.tol=1e-10", "grid.count=9"])
+    cfg = load_config(str(p), overrides=["algebra.tol=1e-10", "grid.count=13"])
     assert cfg.algebra.tol == 1e-10
-    assert cfg.grid.count == 9
+    assert cfg.grid.count == 13
     with pytest.raises(ConfigError):
         load_config(str(p), overrides=["no_dots"])
 
@@ -477,6 +500,26 @@ def test_cli_override_errors_exit2(tmp_path, capsys):
         assert err["message"].endswith(
             f"--tol-override {item}: {item.split('=')[0]} {what}, "
             f"got {got}"), err
+    # counts that parse but that their grid cannot hold: the error names
+    # the first override involved
+    for suite, items, what in (
+            ("smatrix", ("smatrix.n_values=5", "grid.count=41"),
+             "smatrix.n_values holds 5, which needs grid.count >= 20 and "
+             "grid.count^5 <= 33554432, got grid.count 41"),
+            ("smatrix", ("smatrix.n_values=4", "grid.count=13"),
+             "smatrix.n_values holds 4, which needs grid.count >= 16 and "
+             "grid.count^4 <= 33554432, got grid.count 13"),
+            ("verify-algebra", ("algebra.dn_max=6",),
+             "algebra.grid_count^6 must be at most 33554432 for rank 6 = "
+             "max(algebra.dn_max, grid.n_max + 1), got algebra.grid_count 21")):
+        args = [suite, "--config", "catalogue:shg-b050",
+                "--out", str(tmp_path / "out")]
+        for item in items:
+            args += ["--tol-override", item]
+        assert main(args) == 2, items
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["message"].endswith(
+            f"--tol-override {items[0]}: {what}"), err
     assert not (tmp_path / "out").exists()
     # an override error names the override and the config as given
     code = main(["nuclearity-curve", "--config", "catalogue:shg-b050",

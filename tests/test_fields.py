@@ -66,16 +66,16 @@ def test_conjugate_pair_identity(gaussian, bump):
     # (conj f)^+ = conj(f^-) at real rapidity
     t = np.linspace(-3, 3, 11).astype(complex)
     for f in (gaussian, bump):
-        lhs = wq.mass_shell(f.conj(), +1, t, mass=1.0)
-        rhs = np.conj(wq.mass_shell(f, -1, t, mass=1.0))
+        lhs = wq.mass_shell(f.conj(), t, mass=1.0)[0]
+        rhs = np.conj(wq.mass_shell(f, t, mass=1.0)[1])
         assert_allclose(lhs, rhs, atol=1e-14)
 
 
 def test_half_period_contour_identity(bump):
     # entire transform: f^+(t - i pi) = f^-(t) for compact support
     t = np.linspace(-2, 2, 9)
-    lhs = wq.mass_shell(bump, +1, t - 1j * math.pi, mass=1.0)
-    rhs = wq.mass_shell(bump, -1, t.astype(complex), mass=1.0)
+    lhs = wq.mass_shell(bump, t - 1j * math.pi, mass=1.0)[0]
+    rhs = wq.mass_shell(bump, t.astype(complex), mass=1.0)[1]
     assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -89,8 +89,8 @@ def test_half_period_identity_on_catalogue_line():
         f = cfg.testfunction(name)
         h0, h1 = f.half_width
         scale = h0 * h1 * BUMP_INTEGRAL ** 2 / (2 * math.pi)
-        lhs = wq.mass_shell(f, +1, t - 1j * math.pi, mass=cfg.model.mass)
-        rhs = wq.mass_shell(f, -1, t.astype(complex), mass=cfg.model.mass)
+        lhs = wq.mass_shell(f, t - 1j * math.pi, mass=cfg.model.mass)[0]
+        rhs = wq.mass_shell(f, t.astype(complex), mass=cfg.model.mass)[1]
         assert np.max(np.abs(lhs - rhs)) <= 2 * BUMP_TARGET * scale
 
 
@@ -127,8 +127,8 @@ def test_mass_shell_value_independent_of_batch():
     f = cfg.testfunction(cfg.locality.f)
     u, _ = gauss_legendre(cfg.locality.order)
     m = cfg.model.mass
-    batch = wq.mass_shell(f, +1, np.append(cfg.locality.window * u, 0.3), m)
-    alone = wq.mass_shell(f, +1, [0.3], m)
+    batch = wq.mass_shell(f, np.append(cfg.locality.window * u, 0.3), m)[0]
+    alone = wq.mass_shell(f, [0.3], m)[0]
     assert abs(alone[0] - batch[-1]) <= 1e-14 * np.max(np.abs(batch))
 
 
@@ -151,7 +151,60 @@ def test_folded_transform_matches_unfolded_sum(re, imag, center, half_width):
 
 
 def test_mass_shell_of_empty_batch(bump):
-    assert wq.mass_shell(bump, +1, [], mass=1.0).shape == (0,)
+    assert [v.shape for v in wq.mass_shell(bump, [], mass=1.0)] == [(0,)] * 2
+
+
+@pytest.mark.parametrize("count", [255, 2048])
+@pytest.mark.parametrize("shift", [0.0, math.pi])
+def test_pair_transforms_each_distinct_key_once(monkeypatch, count, shift):
+    # mirrored nodes and the sign of f^- repeat each axis's |p| four times
+    # on the real line; on Im t = pi the repeats are conjugate momenta
+    cfg = load_config("catalogue:shg-b050")
+    f = cfg.testfunction(cfg.locality.f)
+    u, _ = gauss_legendre(count)
+    keys = []
+
+    def spy(phase):
+        keys.append(np.size(phase))
+        return _auto_order(phase)
+
+    monkeypatch.setattr(fields, "_auto_order", spy)
+    wq.mass_shell(f, cfg.locality.window * u + 1j * shift, cfg.model.mass)
+    assert len(keys) == 2                       # one call per axis
+    assert max(keys) <= (count + 1) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(-2.0, 2.0),
+       st.floats(0.05, 2.0), st.floats(-3.0, 3.0).filter(bool),
+       st.floats(0.3, 2.0),
+       st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40))
+def test_real_amplitude_minus_is_conjugate_plus(a0, w0, a1, w1, amplitude,
+                                                mass, thetas):
+    # at real rapidity -p(t) is p(t) with both signs flipped, so for a real
+    # amplitude f^- = conj f^+ bit for bit
+    f = wq.Bump2D((a0, a0 + w0, a1, a1 + w1), amplitude=amplitude)
+    plus, minus = wq.mass_shell(f, np.array(thetas), mass)
+    assert np.array_equal(minus, np.conj(plus))
+
+
+def test_equal_keys_share_values_bit_for_bit():
+    # at center 0 a value is 2h G(p h): in one batch -p repeats the value
+    # of p and conj p conjugates it exactly, whatever else is requested
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-400.0, 400.0, 50)
+    z = x + 1j * rng.uniform(-2.0, 2.0, 50)
+    for base, partners, want in (
+            (x, (-x,), (lambda v: v,)),
+            (z, (-z, z.conj(), -z.conj()),
+             (lambda v: v, np.conj, np.conj))):
+        batch = np.concatenate((base, *partners, rng.uniform(-50, 50, 7)))
+        perm = rng.permutation(batch.size)
+        got = np.empty(batch.size, dtype=complex)
+        got[perm] = _bump_transform(batch[perm], 0.0, 0.7)
+        n = base.size
+        for k, relation in enumerate(want, start=1):
+            assert np.array_equal(got[k * n:(k + 1) * n], relation(got[:n]))
 
 
 def test_klein_gordon_symbol():
@@ -196,14 +249,14 @@ def test_translation_pulls_out_phase(bump, shg):
     t = np.linspace(-2.5, 2.5, 11)
     moved = bump.transformed(x)
     phase = np.exp(1j * (np.cosh(t) * x[0] - np.sinh(t) * x[1]))
-    assert_allclose(wq.mass_shell(moved, +1, t.astype(complex), mass=1.0),
-                    phase * wq.mass_shell(bump, +1, t.astype(complex), 1.0),
+    assert_allclose(wq.mass_shell(moved, t.astype(complex), mass=1.0)[0],
+                    phase * wq.mass_shell(bump, t.astype(complex), 1.0)[0],
                     atol=1e-14)
 
 
 def test_quadrature_overflow_guard(bump):
     with pytest.raises(QuadratureOverflowError):
-        wq.mass_shell(bump, +1, 8.0 + 1.4j, mass=1.0)
+        wq.mass_shell(bump, 8.0 + 1.4j, mass=1.0)
 
 
 def test_field_phi_on_vacuum(shg, gaussian, grid41):
@@ -392,9 +445,7 @@ def test_pair_from_another_grid_raises(shg, gaussian, grid21, grid41, rng):
         annihilate(shg, minus, Phi)
 
 
-def test_unknown_choices_raise(shg, gaussian, bump, grid21):
-    with pytest.raises(ValueError, match="sign"):
-        wq.mass_shell(gaussian, 0, [0.0], mass=shg.mass)
+def test_unknown_choices_raise(shg, bump, grid21):
     with pytest.raises(ValueError, match="unknown wedge"):
         wq.in_wedge(bump.box, "X")
     with pytest.raises(ValueError, match="unknown time-zero field"):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import wedgeqft as wq
-from oracles import creator_top_level_dense, operator_commutator_dense
+from oracles import (creator_top_level_dense, mass_shell_by_sign,
+                     operator_commutator_dense)
 from wedgeqft import fields, fock, locality, suites
 from wedgeqft.config import load_config
 from wedgeqft.errors import TailError, TruncationCapError, WedgeQFTError
@@ -24,7 +25,7 @@ def wedge_pair():
 
 
 def restriction(S, f, sign):
-    return lambda z: wq.mass_shell(f, sign, z, mass=S.mass)
+    return lambda z: wq.mass_shell(f, z, mass=S.mass)[(1 - sign) // 2]
 
 
 def contour_samples(S, f, g, spectators, order=locality.ORDER_DEFAULT):
@@ -165,19 +166,19 @@ def test_line_restrictions_computed_once(monkeypatch, rng):
                                  "locality.spectators=1"])
     calls = []
 
-    def counting(f, sign, zeta, mass):
+    def counting(f, zeta, mass):
         calls.append((len(zeta), mass))
-        return wq.mass_shell(f, sign, zeta, mass)
+        return wq.mass_shell(f, zeta, mass)
 
     monkeypatch.setattr(locality, "mass_shell", counting)
     suites.verify_locality(cfg, rng)
-    # f-, g+, f+, g- on the real line and f-, g+ on Im t = pi at the
-    # configured order, then the four real-line ones per refinement order
-    assert sorted(n for n, _ in calls) == ([32] * 4 + [64] * 4 + [128] * 4
-                                           + [256] * 6)
+    # the pairs of f and g on the real line and on Im t = pi at the
+    # configured order, then the real-line pairs per refinement order
+    assert sorted(n for n, _ in calls) == ([32] * 2 + [64] * 2 + [128] * 2
+                                           + [256] * 4)
 
-    # nothing is kept between calls: a repeated call computes its six
-    # lines again, each at the model's mass
+    # nothing is kept between calls: a repeated call computes its four
+    # pairs again, each at the model's mass
     loc = cfg.locality
     f, g = cfg.testfunction(loc.f), cfg.testfunction(loc.g)
     heavy = wq.build_model(+1, m=2.0)
@@ -185,16 +186,43 @@ def test_line_restrictions_computed_once(monkeypatch, rng):
         calls.clear()
         locality.verify_contour_identity(heavy, f, g, [(), (0.3,)],
                                          window=loc.window, order=loc.order)
-        assert calls == [(loc.order, 2.0)] * 6
+        assert calls == [(loc.order, 2.0)] * 4
+
+
+def test_contour_samples_match_restrictions_taken_sign_by_sign():
+    # each of the four restrictions on its own, every value from its own
+    # cosine sum: the pairs' shared sums move B and C by roundoff only.
+    # S2 is unimodular on the line, so the integral of |f^-| |g^+| is the
+    # scale of a sum's roundoff; B itself falls ~3000x below it at n = 3
+    cfg = load_config("catalogue:shg-b050")
+    S, loc = cfg.model, cfg.locality
+    f, g = cfg.testfunction(loc.f), cfg.testfunction(loc.g)
+    t, w = locality._gl_line(loc.window, loc.order)
+    ref = {(h, sign): mass_shell_by_sign(h, sign, t, S.mass)
+           for h in (f, g) for sign in (+1, -1)}
+    for h in (f, g):
+        for got, sign in zip(wq.mass_shell(h, t, S.mass), (+1, -1)):
+            want = ref[h, sign]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    scale = float(np.dot(np.abs(ref[f, -1] * ref[g, +1]), w))
+    spect = [(), (0.3,), (-0.7, 1.1), (0.2, -1.5, 0.9)]
+    for theta, B, C in locality._contour_samples(S, f, g, spect, loc.window,
+                                                 loc.order):
+        B_ref = locality._line_integral(S, ref[f, -1], ref[g, +1], t, w,
+                                        theta, flip=False)[0]
+        C_ref = -locality._line_integral(S, ref[f, +1], ref[g, -1], t, w,
+                                         theta, flip=True)[0]
+        assert abs(B - B_ref) <= 1e-14 * scale, theta
+        assert abs(C - C_ref) <= 1e-14 * scale, theta
 
 
 def test_each_test_function_sampled_once_per_grid(monkeypatch, shg,
                                                   wedge_pair, rng):
     calls = []
 
-    def counting(f, sign, zeta, mass):
+    def counting(f, zeta, mass):
         calls.append(f)
-        return wq.mass_shell(f, sign, zeta, mass)
+        return wq.mass_shell(f, zeta, mass)
 
     # the contour checks call mass_shell from locality, the fields' pairs
     # from fields
@@ -203,14 +231,14 @@ def test_each_test_function_sampled_once_per_grid(monkeypatch, shg,
     f, g = wedge_pair
     Phi = wq.random_fock(shg, wq.RapidityGrid(6.0, 21), 1, rng)
     locality.verify_operator_commutator(shg, f, g, Phi)
-    # f+, f- and g+, g-: phi'(f) conjugates f's pair instead of sampling f*
-    assert calls == [f, f, g, g]
+    # one pair each: phi'(f) conjugates f's pair instead of sampling f*
+    assert calls == [f, g]
 
     calls.clear()
     suites.verify_locality(load_config("catalogue:shg-b050"), rng)
-    # six contour lines, four per refinement order, four per operator
-    # check (three) and four for the witness
-    assert len(calls) == 6 + 3 * 4 + 3 * 4 + 4
+    # four contour pairs, two per refinement order, two per operator
+    # check (three) and two for the witness
+    assert len(calls) == 4 + 3 * 2 + 3 * 2 + 2
 
 
 def test_verify_locality_draws_each_spectator_tuple_once(rng):
