@@ -31,9 +31,13 @@ a centrohermitian matrix real (Lee, Linear Algebra Appl. 29 (1980) 205):
 U^H A U = X - YJ.  In the skew case iA = -Y + iX is centrohermitian, so
 U^H (iA) U = -(X + YJ) J, and X + YJ = -J (X - YJ) J.  Either way X - YJ
 has the singular values of A.  The damping e^{-a cosh x} sits on the row
-variable and underflows to exactly 0.0 at large |x|; those rows of A,
-and of X - YJ, are identically zero and contribute only zero singular
-values, so they are dropped before the SVD.
+variable, so the rows of X - YJ at large |x| are tiny, subnormal or zero.
+The smallest rows whose 2-norms sum to at most 2^-53 (the unit roundoff)
+times the largest row norm are dropped before the SVD.  Each row is a
+rank-one matrix, so the dropped block has trace norm at most that sum;
+the largest row norm is at most sigma_1, and by Weyl's inequality and the
+triangle inequality for ||.||_1 every singular value and the trace norm
+move by less than one roundoff of sigma_1.
 """
 
 from dataclasses import dataclass, replace
@@ -50,9 +54,9 @@ SCALE_DEFAULT = 1.0
 NODES_DEFAULT = 400
 REFINE_TOL = 1e-3
 MAX_DOUBLINGS = 3
-# largest Nystrom level: the default after every doubling.  One SVD there
-# peaks near 430 MB RSS (bose kernels; 310 MB for the others), inside a
-# 768 MiB address-space cap
+# largest Nystrom level: the default after every doubling.  Building its
+# matrix peaks near 420 MB RSS (bose kernels; 265 MB for the others), above
+# the SVD after it, inside a 768 MiB address-space cap
 MAX_NODES = NODES_DEFAULT * 2 ** MAX_DOUBLINGS
 SERIES_TAIL_TOL = 1e-12
 SERIES_CHUNK = 1 << 18
@@ -131,11 +135,14 @@ def _nystrom_matrix(K):
 def singular_values(K):
     """Singular values of the weight-symmetrized Nystrom matrix, descending.
 
-    Computed from the real matrix X - YJ on the rows where A = X + iY is
-    not identically zero (see the module docstring).  The zero singular
-    values of the dropped rows are left out, so the array is shorter than
-    ``K.nodes`` when the damping underflows, and empty when it underflows
-    on every row.  A level above ``MAX_NODES`` raises
+    Computed from the real matrix M = X - YJ of A = X + iY (see the module
+    docstring), without its smallest rows: in stable ascending order of
+    2-norm, rows are dropped while their norms sum to at most 2^-53 times
+    the largest row norm, and the rest keep their order.  That moves each
+    singular value and the trace norm by less than one roundoff of
+    sigma_1, and drops every zero or subnormal row, so the array is
+    shorter than ``K.nodes`` when the damping is that small, and empty
+    when M is zero.  A level above ``MAX_NODES`` raises
     :class:`ConvergenceError` before anything is built.
     """
     if K.nodes > MAX_NODES:
@@ -143,9 +150,12 @@ def singular_values(K):
             f"Nystrom level of {K.nodes} nodes exceeds the budget of "
             f"{MAX_NODES} nodes")
     A = _nystrom_matrix(K)
-    keep = np.any(A != 0, axis=1)
-    return np.linalg.svd(A.real[keep] - A.imag[keep][:, ::-1],
-                         compute_uv=False)
+    M = A.real - A.imag[:, ::-1]
+    del A
+    norms = np.sqrt(np.einsum("ij,ij->i", M, M))
+    order = np.argsort(norms, kind="stable")
+    drop = np.cumsum(norms[order]) <= 2.0 ** -53 * np.max(norms)
+    return np.linalg.svd(np.delete(M, order[drop], axis=0), compute_uv=False)
 
 
 @dataclass(frozen=True)
