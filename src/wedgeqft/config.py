@@ -103,8 +103,8 @@ SCHEMA = {
     "locality": {
         "grid_count": (_integer(3, odd=True), 81),
         "window": (POSITIVE, WINDOW_DEFAULT),
-        # the refinement study runs at order // 8; a Gauss-Legendre rule
-        # costs O(order^2), so the bump transforms' largest rule caps it
+        # the refinement study runs at order // 8; the bump transforms'
+        # largest rule caps it (a rule and each line integral cost O(order))
         "order": (_integer(8, most=ORDER_CAP), ORDER_DEFAULT),
         "spectators": (COUNT, 3),
         "contour_tol": (NUMBER, 1e-6), "operator_tol": (NUMBER, 1e-4),

@@ -56,8 +56,9 @@ INNER_GROUP = 2 ** 14  # elements of conj(a) * b formed at once by the inner pro
 class RapidityGrid:
     """Uniform symmetric grid on [-half_width, half_width] with odd count.
 
-    Odd count puts a node at 0 and makes index mirroring an exact
-    realization of rapidity reflection.  Trapezoid weights are used, so
+    The nonnegative half is built and mirrored, so the node at 0 is exact,
+    the ends are exactly +-half_width and index mirroring is rapidity
+    reflection bit for bit.  Trapezoid weights are used, so
     sum(w) equals the window length.  The read-only ``nodes`` and
     ``weights`` arrays are built once; equality and hashing use the two
     fields only.
@@ -71,7 +72,8 @@ class RapidityGrid:
             raise GridError(f"count must be odd and >= 3, got {self.count}")
         if not (self.half_width > 0):
             raise GridError(f"half_width must be positive, got {self.half_width}")
-        nodes = np.linspace(-self.half_width, self.half_width, self.count)
+        half = np.linspace(0.0, self.half_width, self.count // 2 + 1)
+        nodes = np.concatenate([-half[:0:-1], half])
         weights = np.full(self.count, self.spacing)
         weights[0] = weights[-1] = self.spacing / 2
         for name, arr in (("nodes", nodes), ("weights", weights)):

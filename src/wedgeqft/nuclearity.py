@@ -54,10 +54,11 @@ SCALE_DEFAULT = 1.0
 NODES_DEFAULT = 400
 REFINE_TOL = 1e-3
 MAX_DOUBLINGS = 3
-# largest Nystrom level: the default after every doubling.  Building its
-# matrix peaks near 420 MB RSS (bose kernels; 265 MB for the others), above
-# the SVD after it, inside a 768 MiB address-space cap
+# largest Nystrom level: the default after every doubling.  Its trace norm
+# peaks near 270 MB RSS for every kind (the complex matrix and the real
+# one formed from it), inside a 768 MiB address-space cap
 MAX_NODES = NODES_DEFAULT * 2 ** MAX_DOUBLINGS
+BOSE_SLAB = 64                  # rows of a Bose kernel's direct term at once
 SERIES_TAIL_TOL = 1e-12
 SERIES_CHUNK = 1 << 18
 MAX_SERIES_TERMS = 1 << 30      # ~70x the bounds sweep's largest window
@@ -80,11 +81,32 @@ def _tan_rule(scale, nodes):
 
 
 def _damped_cauchy(a, b):
-    """The kernel e^{-a cosh x} / (x - y + i b), in one full-size array."""
+    """The kernel e^{-a cosh x} / (x - y + i b), written into one complex
+    array with no real temporary of its size."""
     def kern(x, y):
+        d = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+        np.subtract(x, y, out=d.real)
+        d.imag = b
         with np.errstate(over="ignore", under="ignore"):
-            d = x - y + 1j * b
             return np.divide(np.exp(-a * np.cosh(x)), d, out=d)
+    return kern
+
+
+def _bose_kernel(s, mass, sign):
+    """(sign K_+(x, -y) + K_-(x, y)) / (2 pi i), K_+- the damped Cauchy
+    kernel at a = m s, b = +-pi / 2, in one complex array: the direct term
+    K_- is added one slab of ``BOSE_SLAB`` rows at a time."""
+    reflected = _damped_cauchy(s * mass, math.pi / 2)
+    direct = _damped_cauchy(s * mass, -math.pi / 2)
+
+    def kern(x, y):
+        A = reflected(x, -y)
+        A *= sign
+        for start in range(0, A.shape[0], BOSE_SLAB):
+            rows = slice(start, start + BOSE_SLAB)
+            A[rows] += direct(x[rows], y)
+        A /= 2j * math.pi
+        return A
     return kern
 
 
@@ -114,11 +136,7 @@ class KernelOperator:
             return _damped_cauchy(a, b)
         if self.kind in ("bose_phi", "bose_pi"):
             s, mass = self.params
-            sign = -1 if self.kind == "bose_phi" else +1
-            reflected = _damped_cauchy(s * mass, math.pi / 2)
-            direct = _damped_cauchy(s * mass, -math.pi / 2)
-            return lambda x, y: ((sign * reflected(x, -y) + direct(x, y))
-                                 / (2j * math.pi))
+            return _bose_kernel(s, mass, -1 if self.kind == "bose_phi" else +1)
         raise ModelError(f"unknown kernel kind {self.kind!r}")
 
 

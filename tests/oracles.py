@@ -18,7 +18,10 @@ applies to that matrix.  The strip sup norm reference shares only
 bisection.  The mass-shell reference evaluates one sign at a time, each
 value of each bump axis from its own cosine sum: it checks that sharing
 sums between p and -p, mirrored nodes and conjugate momenta moves no
-value.
+value.  The recurrence rule is the Gauss-Legendre rule the package built
+before its series evaluators: Newton sweeps on the three-term recurrence,
+one pass of n steps per sweep, sharing only Tricomi's start and the
+half-and-mirror construction with ``gauss_legendre``.
 """
 
 from itertools import permutations
@@ -234,6 +237,60 @@ def overlap_literal(S, packet):
     for _ in range(n):
         dens = np.tensordot(dens, grid.weights, axes=([0], [0]))
     return complex(dens)
+
+
+def _legendre_by_recurrence(n, theta):
+    """(P_n, sin^2(theta) P_n' / n) at x = cos(theta), by the recurrence
+    on u = 1 - x and the scaled differences E_k."""
+    u = np.sin(theta / 2)
+    u *= u
+    u *= 2
+    p = 1 - u           # P_1
+    e = -u              # E_1 = P_1 - P_0
+    tmp = e.copy()      # E_k / k
+    for k in range(2, n + 1):
+        # E_k = k D_k = E_{k-1} - (2k - 1) u P_{k-1}, P_k = P_{k-1} + E_k / k
+        np.multiply(u, p, out=tmp)
+        tmp *= 2 * k - 1
+        e -= tmp
+        np.divide(e, k, out=tmp)
+        p += tmp
+    u *= p
+    u -= tmp
+    return p, u
+
+
+def gauss_legendre_by_recurrence(order):
+    """Nodes (ascending) and weights of the ``order``-point rule on [-1, 1],
+    by three Newton sweeps on the three-term recurrence.
+
+    The recurrence runs on u = 1 - x = 2 sin^2(theta / 2) and on the scaled
+    differences E_k = k (P_k - P_{k-1}) (Reinsch's form), so P_n keeps its
+    relative accuracy near x = 1.  From the last pass, sin^2(theta) P_n'(x)
+    = n (u P_n - E_n / n), and the weights are 2 / ((1 - x^2) P_n'(x)^2)
+    with 1 - x^2 = sin^2(theta) taken from the angle.  Each sweep is n
+    steps of five ufunc calls.  Against 34-digit roots its nodes err by at
+    most 2e-16; its weights err by up to 2.6e-14 relative at 4096 nodes
+    and 4.6e-14 at 8192, both near x = 0.
+    """
+    n = int(order)
+    if n < 1:
+        raise ValueError(f"rule order must be positive, got {order}")
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = math.pi * (4 * k - 1) / (4 * n + 2)
+    theta = np.arccos(np.cos(theta)
+                      * (1 - (n - 1) / (8 * n ** 3)
+                         - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4)))
+    for _ in range(3):
+        # d P_n(cos theta) / d theta = -sin(theta) P_n'
+        p, slope = _legendre_by_recurrence(n, theta)
+        theta += p * np.sin(theta) / (n * slope)
+    _, slope = _legendre_by_recurrence(n, theta)
+    w = 2 * np.sin(theta) ** 2 / (n * slope) ** 2
+    x = np.cos(theta[:n // 2])      # the strictly positive nodes
+    nodes = np.concatenate([-x, np.zeros(n % 2), x[::-1]])
+    weights = np.concatenate([w, w[:n // 2][::-1]])
+    return nodes, weights
 
 
 def singular_values_dense(K):

@@ -637,8 +637,8 @@ def test_cli_underflowing_distance_exit3(tmp_path, capsys, args):
 
 
 def test_locality_order_capped_at_the_largest_rule(tmp_path, capsys):
-    # a Gauss-Legendre rule costs O(order^2): the bump transforms' largest
-    # rule bounds the key, so a mistyped order does not run for hours
+    # the bump transforms' largest rule bounds the key, so a mistyped
+    # order exits 2 before any rule or line integral of its size is built
     cfg = load_config("catalogue:free",
                       overrides=[f"locality.order={ORDER_CAP}"])
     assert cfg.locality.order == ORDER_CAP

@@ -58,6 +58,16 @@ def test_grid_invariants(grid41):
         wq.RapidityGrid(6.0, 40)   # even count
 
 
+@pytest.mark.parametrize("count", [21, 31, 41, 81, 161])
+@pytest.mark.parametrize("half_width", [3.0, 6.0, 7.3])
+def test_grid_is_mirrored_bit_for_bit(half_width, count):
+    nodes = wq.RapidityGrid(half_width, count).nodes
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert nodes[count // 2] == 0.0
+    assert nodes[0] == -half_width and nodes[-1] == half_width
+    assert np.all(np.diff(nodes) > 0)
+
+
 def test_vectors_own_their_arrays(grid7, rng):
     # a C-ordered complex array is held as given and frozen
     held = [np.asarray(1.0 + 0j), rand_tensor(grid7, 1, rng),

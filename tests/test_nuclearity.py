@@ -442,6 +442,32 @@ def test_kernel_kind_validation():
         KernelOperator("weird", (1.0,)).kernel()
 
 
+@pytest.mark.parametrize("kind", ["general", "bose_phi", "bose_pi"])
+@pytest.mark.parametrize("nodes", [25, 64, 65, 283])
+def test_kernels_match_whole_array_expressions_bit_for_bit(kind, nodes):
+    # the kernels write one complex array (the Bose direct term one row
+    # slab at a time); the whole-array expressions they replace, with their
+    # real and complex temporaries, give the same bytes.  On |x| <= 3 no
+    # row underflows to zero, so a row the slabs missed would show
+    y = np.linspace(-3.0, 3.0, nodes)
+    x, y = y[:, None], y[None, :]
+    a = 0.7
+
+    def cauchy(b, yy):
+        with np.errstate(over="ignore", under="ignore"):
+            d = x - yy + 1j * b
+            return np.divide(np.exp(-a * np.cosh(x)), d, out=d)
+    if kind == "general":
+        ref = cauchy(-math.pi / 8, y)
+        got = KernelOperator(kind, (a, -math.pi / 8)).kernel()(x, y)
+    else:
+        sign = -1 if kind == "bose_phi" else +1
+        ref = ((sign * cauchy(math.pi / 2, -y) + cauchy(-math.pi / 2, y))
+               / (2j * math.pi))
+        got = KernelOperator(kind, (a, 1.0)).kernel()(x, y)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_singular_values_descending():
     sv = wq.singular_values(KernelOperator("bose_phi", (1.0, 1.0), nodes=100))
     assert np.all(np.diff(sv) <= 0)
